@@ -1,5 +1,8 @@
-"""Pure-numpy implementation of the objective-field kernel."""
+"""Objective-field hot loop: the per-cell 8-tap gather over one path's
+matched-filter correlation, in numpy."""
 import numpy as np
+
+BACKEND = "numpy"
 
 
 def path_objective(corr, n0, taps, energy, cross_out, ll_out):

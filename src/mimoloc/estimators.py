@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AntennaLayout, Grid, Position2D
+from .geometry import AntennaLayout, Grid, Position2D, Scene
 from .likelihood import ObjectiveField, ReplicaCache, objective_field
-from .signal import NoiseModel, PathObservation, WaveformSet, whiten
+from .signal import (NoiseModel, WaveformSet, synthesize_observation,
+                     whiten)
 from .streams import TAG_CALIBRATION, substream
 
 JOINT_MAX_TARGETS = 3
@@ -125,22 +126,6 @@ class DetectionReport:
                        header.get("accumulated_objective", 0.0)))
 
 
-def _noise_only_observation(waveforms: WaveformSet, noise: NoiseModel,
-                            path: int, rng: np.random.Generator
-                            ) -> PathObservation:
-    n = waveforms.n_samples
-    sigma = np.sqrt(noise.path_sigma_sq(path))
-    r = sigma * (rng.standard_normal(n)
-                 + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    if noise.clutter_cov is not None:
-        c = np.asarray(noise.clutter_cov)
-        vals, vecs = np.linalg.eigh(c)
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        r = r + root @ z
-    return PathObservation(path=path, r=r, whitened=False)
-
-
 def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
                        grid: Grid, noise: NoiseModel, trials: int, seed: int,
                        cache: ReplicaCache | None = None,
@@ -148,10 +133,12 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
     """Grid peaks of the objective under the noise-only hypothesis."""
     if cache is None:
         cache = ReplicaCache(waveforms, layout, grid)
+    empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
-        obs = [whiten(_noise_only_observation(
-                   waveforms, noise, p, substream(seed, tag, t, p)), noise)
+        obs = [whiten(synthesize_observation(
+                   empty, waveforms, noise, p, substream(seed, tag, t, p)),
+                   noise)
                for p in range(layout.n_paths)]
         fld = objective_field(obs, waveforms, layout, grid, cache=cache)
         peaks[t] = fld.combined.max()
@@ -237,12 +224,17 @@ def sic_run(fld: ObjectiveField, thresholds: ThresholdConfig,
 
     The candidate's threshold is computed from the cancellation state
     left by the previous iterations (its own footprint is subtracted
-    afterwards either way; rejected candidates are not restored).
+    afterwards either way; rejected candidates are not restored).  The
+    run ends when the argmax cell has no alive-path weight left: every
+    path there is cancelled, so nothing remains to declare.
     """
     report = DetectionReport(algorithm="sic",
                              lambda_prime=thresholds.lambda_prime)
+    w = thresholds.weights(fld.n_paths)
     for g in range(1, config.g_max + 1):
         cell = fld.argmax_cell()
+        if w[~fld.subtracted[:, cell]].sum() == 0:
+            break
         value = float(fld.combined[cell])
         thr = sic_threshold(fld, cell, thresholds)
         footprint = fld.footprint_of_cell(cell)
@@ -260,34 +252,6 @@ def sic_run(fld: ObjectiveField, thresholds: ThresholdConfig,
 
 
 # --- joint exhaustive search ----------------------------------------------
-
-def _pairwise_gram(cache: ReplicaCache, path: int) -> np.ndarray:
-    """All-pairs replica inner products s~_c1^H s~_c2 on one path, (C, C)."""
-    wf = cache.waveforms
-    k = int(cache.path_tx[path])
-    p = wf.pulse_samples
-    s = wf.samples[k, :p]
-    max_lag = p + 2 * len(cache.tap_offsets)
-    lags = np.arange(-max_lag, max_lag + 1)
-    ac = np.zeros(len(lags), dtype=complex)
-    for i, d in enumerate(lags):
-        if abs(d) < p:
-            ac[i] = np.vdot(s[max(0, -d): p - max(0, d)],
-                            s[max(0, d): p + min(0, d)])
-    base = cache.gather_base[path].astype(np.int64)   # n0 + const
-    taps = cache.taps[path]
-    # gram[c1, c2] = s~_c1^H s~_c2 = sum_{t,u} h_t(c1) h_u(c2)
-    #               * ac(n0_c1 - n0_c2 + t - u)
-    delta = base[:, None] - base[None, :]
-    gram = np.zeros((len(base), len(base)), dtype=complex)
-    off = max_lag
-    nt = taps.shape[1]
-    for t in range(nt):
-        for u in range(nt):
-            d = np.clip(delta + (t - u) + off, 0, len(lags) - 1)
-            gram += np.outer(taps[:, t], taps[:, u]) * ac[d]
-    return gram
-
 
 def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
                  grid: Grid, n_targets: int, threshold: float,
@@ -346,7 +310,9 @@ def _joint_search_multi(fld: ObjectiveField, cache: ReplicaCache,
     ts = cache.waveforms.Ts
     cross = fld.cross
     energy = fld.energy
-    grams = np.stack([_pairwise_gram(cache, p) for p in range(n_paths)])
+    c = np.arange(n_cells)
+    grams = np.stack([cache.inner_products(p, c[:, None], c[None, :])
+                      for p in range(n_paths)])
     # collision mask: delay gap under the tolerance on any path
     gap_ok = np.ones((n_cells, n_cells), dtype=bool)
     for p in range(n_paths):
@@ -408,43 +374,19 @@ def _joint_alphas(fld: ObjectiveField, cache: ReplicaCache, cells,
     """Per-path joint reflection-coefficient estimates for the declared
     tuple, shape (n_paths, G); NaN on paths where the tuple is singular."""
     n_paths = fld.per_path_ll.shape[0]
-    g_n = len(cells)
+    idx = np.asarray(cells)
+    g_n = len(idx)
     out = np.full((n_paths, g_n), np.nan + 0j, dtype=complex)
     ts = cache.waveforms.Ts
     for p in range(n_paths):
-        d = cache.delays[p, list(cells)]
+        d = cache.delays[p, idx]
         if g_n > 1 and np.min(np.abs(d[:, None] - d[None, :])
                               [~np.eye(g_n, dtype=bool)]) < tol_samples * ts:
             continue
-        gram = _pairwise_gram_subset(cache, p, cells)
-        x = fld.cross[p, list(cells)]
+        gram = cache.inner_products(p, idx[:, None], idx[None, :])
+        x = fld.cross[p, idx]
         try:
             out[p] = np.linalg.solve(gram, x)
         except np.linalg.LinAlgError:
             continue
     return out
-
-
-def _pairwise_gram_subset(cache: ReplicaCache, path: int, cells) -> np.ndarray:
-    wf = cache.waveforms
-    k = int(cache.path_tx[path])
-    p = wf.pulse_samples
-    s = wf.samples[k, :p]
-    base = cache.gather_base[path, list(cells)].astype(np.int64)
-    taps = cache.taps[path, list(cells)]
-    g_n = len(cells)
-    gram = np.zeros((g_n, g_n), dtype=complex)
-    nt = taps.shape[1]
-    for i in range(g_n):
-        for j in range(g_n):
-            acc = 0.0 + 0j
-            delta = int(base[i] - base[j])
-            for t in range(nt):
-                for u in range(nt):
-                    d = delta + (t - u)
-                    if abs(d) < p:
-                        acc += taps[i, t] * taps[j, u] * np.vdot(
-                            s[max(0, -d): p - max(0, d)],
-                            s[max(0, d): p + min(0, d)])
-            gram[i, j] = acc
-    return gram

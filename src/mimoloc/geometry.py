@@ -139,6 +139,8 @@ class Grid:
     ny: int = field(init=False)
 
     def __post_init__(self):
+        if not 0 < self.cell < np.inf:
+            raise ValueError("cell size must be positive and finite")
         nx = (self.region.xmax - self.region.xmin) / self.cell
         ny = (self.region.ymax - self.region.ymin) / self.cell
         if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:

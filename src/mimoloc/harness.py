@@ -107,6 +107,17 @@ def _reject_unknown(mapping: dict, allowed, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _integer(value, where: str, minimum: int) -> int:
+    """A JSON integer (a float with no fractional part passes) of at
+    least minimum."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{where} must be >= {minimum}")
+    return int(value)
+
+
 def _positions_km(entries, where: str):
     out = []
     for i, e in enumerate(entries):
@@ -187,28 +198,26 @@ def load_scenario(path) -> ScenarioConfig:
     snr = [float(v) for v in _require(raw, "snr_db", path)]
     if not snr:
         raise ConfigError(f"{path}: snr_db must be nonempty")
-    trials = int(_require(raw, "trials", path))
-    if trials < 1:
-        raise ConfigError(f"{path}: trials must be >= 1")
+    trials = _integer(_require(raw, "trials", path), f"{path}: trials", 1)
     pfa = float(_require(raw, "pfa", path))
     if not 0.0 < pfa < 1.0:
         raise ConfigError(f"{path}: pfa must lie in (0, 1)")
-    seed = int(_require(raw, "seed", path))
-    if seed < 0:
-        raise ConfigError(f"{path}: seed must be nonnegative")
+    seed = _integer(_require(raw, "seed", path), f"{path}: seed", 0)
     algorithm = _require(raw, "algorithm", path)
     if algorithm not in ("ssr", "sic", "joint"):
         raise ConfigError(f"{path}: algorithm must be ssr, sic or joint")
-    g_max = int(_require(raw, "g_max", path))
-    if g_max < 1:
-        raise ConfigError(f"{path}: g_max must be >= 1")
+    g_max = _integer(_require(raw, "g_max", path), f"{path}: g_max", 1)
+    grid_cell = _require(raw, "grid_cell_m", path)
+    if isinstance(grid_cell, bool) or not isinstance(grid_cell, (int, float)):
+        raise ConfigError(f"{path}: grid_cell_m must be a number, "
+                          f"got {grid_cell!r}")
 
     cfg = ScenarioConfig(
         name=str(_require(raw, "name", path)),
         seed=seed,
         layout=layout,
         region=region,
-        grid_cell=float(_require(raw, "grid_cell_m", path)),
+        grid_cell=float(grid_cell),
         target_positions=tuple(targets),
         proportions=tuple(proportions),
         window=float(_require(wf, "window_s", "waveforms")),
@@ -219,7 +228,8 @@ def load_scenario(path) -> ScenarioConfig:
         snr_db=tuple(snr),
         pfa=pfa,
         trials=trials,
-        calibration_trials=int(raw.get("calibration_trials", 1000)),
+        calibration_trials=_integer(raw.get("calibration_trials", 1000),
+                                    f"{path}: calibration_trials", 100),
         g_max=g_max,
         algorithm=algorithm,
         single_target_benchmark=bool(raw.get("single_target_benchmark",
@@ -230,7 +240,7 @@ def load_scenario(path) -> ScenarioConfig:
     try:
         Grid(cfg.region, cfg.grid_cell)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: grid_cell_m: {exc}") from exc
     if cfg.sigma_sq <= 0:
         raise ConfigError(f"{path}: noise.sigma_sq must be positive")
     return cfg

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import as_strided
 
 _FFT_WORKERS = min(4, os.cpu_count() or 1)
 
@@ -92,16 +93,11 @@ class ObjectiveField:
         return np.abs(self.bins - self.bins[:, cell][:, None]) <= 1
 
     def mark_subtracted(self, mask: np.ndarray) -> None:
-        """Subtract the masked (path, cell) log-likelihood contributions,
-        skipping pairs already subtracted earlier in the run."""
-        new_mask = mask & ~self.subtracted
-        self.combined -= (self.per_path_ll * new_mask).sum(axis=0)
-        self.subtracted |= new_mask
-        # guard against accumulated rounding below zero
-        np.clip(self.combined, 0.0, None, out=self.combined)
-
-    def cancelled_paths_at(self, cell: int) -> int:
-        return int(self.subtracted[:, cell].sum())
+        """Cancel the masked (path, cell) log-likelihood contributions (a
+        pair is cancelled at most once) and re-sum combined over the pairs
+        still alive, so a fully cancelled cell is exactly 0."""
+        self.subtracted |= mask
+        self.combined = (self.per_path_ll * ~self.subtracted).sum(axis=0)
 
     def alphas_at(self, cell: int) -> np.ndarray:
         """Per-path isolated-target reflection-coefficient MLEs at a cell."""
@@ -110,11 +106,6 @@ class ObjectiveField:
             a = self.cross[:, cell] / e
         a[~(e > 0)] = 0.0
         return a
-
-    def consistent(self, atol: float = 1e-9) -> bool:
-        ref = (self.per_path_ll * ~self.subtracted).sum(axis=0)
-        return bool(np.allclose(np.clip(ref, 0.0, None), self.combined,
-                                atol=atol))
 
 
 class ReplicaCache:
@@ -148,7 +139,7 @@ class ReplicaCache:
         self.taps = taps
 
         self.path_tx = np.array([k for _, _, k in layout.paths()])
-        self.energy = self._energies(n0, taps)
+        self.energy = self._energies(n0)
         self.energy[self.out_of_window] = 0.0
 
         n_t, p = waveforms.n_samples, waveforms.pulse_samples
@@ -158,33 +149,62 @@ class ReplicaCache:
         self.path_fft_conj = np.ascontiguousarray(
             self.wave_fft_conj[self.path_tx])
 
-    def _energies(self, n0, taps):
-        wf = self.waveforms
-        p = wf.pulse_samples
-        n_t = wf.n_samples
-        # Hermitian-Toeplitz autocorrelation form, exact while the shifted
+    def _energies(self, n0):
+        # each cell paired with itself (offset 0), exact while the shifted
         # pulse (plus kernel support) stays inside the window
-        lags = np.arange(-(KERNEL_TAPS - 1), KERNEL_TAPS)
-        energy = np.empty_like(self.delays)
-        interior_lo = -int(self.tap_offsets[0])
-        interior_hi = n_t - p - int(self.tap_offsets[-1])
-        for k in range(wf.n_waveforms):
-            s = wf.samples[k, :p]
-            ac = np.array([np.vdot(s[max(0, -d): p - max(0, d)],
-                                   s[max(0, d): p + min(0, d)])
-                           for d in lags])
-            acm = ac[(self.tap_offsets[None, :] - self.tap_offsets[:, None])
-                     + (KERNEL_TAPS - 1)]
-            rows = np.flatnonzero(self.path_tx == k)
-            t = taps[rows]
-            energy[rows] = np.einsum("pci,pcj,ij->pc", t, t, acm).real
+        paths = np.arange(len(self.delays))[:, None]
+        energy = self._tap_form(paths, self.taps, self.taps,
+                                np.zeros_like(paths)).real
         # cells whose kernel support clips the window edge: evaluate directly
+        wf = self.waveforms
+        interior_lo = -int(self.tap_offsets[0])
+        interior_hi = (wf.n_samples - wf.pulse_samples
+                       - int(self.tap_offsets[-1]))
         edge = (~self.out_of_window) & ((n0 < interior_lo) | (n0 > interior_hi))
         for pth, c in zip(*np.nonzero(edge)):
             rep = delayed_replica(wf, int(self.path_tx[pth]),
                                   float(self.delays[pth, c]))
             energy[pth, c] = np.vdot(rep, rep).real
         return energy
+
+    def inner_products(self, paths, a, b) -> np.ndarray:
+        """Replica inner products s~_a^H s~_b of cells a and b on the given
+        paths (integer arrays, broadcast together), e.g.
+        inner_products(p, cells[:, None], cells[None, :]) is one path's
+        Gram matrix of the cells.  Exact while both replicas' kernel
+        support stays inside the window (gram_matrix is the oracle)."""
+        return self._tap_form(
+            paths, self.taps[paths, a], self.taps[paths, b],
+            self.gather_base[paths, a] - self.gather_base[paths, b])
+
+    def _tap_form(self, paths, taps_a, taps_b, delta) -> np.ndarray:
+        """sum_t sum_u h_t(a) h_u(b) ac(delta + t - u): the inner product
+        of two replicas on a path from their interpolation taps h (trailing
+        axis) and the offset delta = n_a - n_b of their gather bases; ac is
+        the autocorrelation ac(d) = sum_m conj(s[m]) s[m + d] of the path's
+        pulse, evaluated only at the lags the pairs reach."""
+        wf = self.waveforms
+        p = wf.pulse_samples
+        n = taps_a.shape[-1]
+        k = self.path_tx[paths]
+        d_min = int(np.min(delta))
+        lo, hi = d_min - (n - 1), int(np.max(delta)) + (n - 1)
+        ac = np.zeros((wf.n_waveforms, hi - lo + 1), dtype=complex)
+        for kk in np.unique(k):
+            s = wf.samples[kk, :p]
+            for d in range(max(lo, 1 - p), min(hi, p - 1) + 1):
+                ac[kk, d - lo] = np.vdot(s[max(0, -d): p - max(0, d)],
+                                         s[max(0, d): p + min(0, d)])
+        # win[..., j] = ac(delta - (n - 1) + j), read as the Toeplitz matrix
+        # [..., t, u] -> win[..., n - 1 + t - u] without copying
+        win = ac.ravel()[(k * ac.shape[1] + delta - d_min)[..., None]
+                         + np.arange(2 * n - 1)]
+        step = win.strides[-1]
+        toeplitz = as_strided(win[..., n - 1:],
+                              shape=win.shape[:-1] + (n, n),
+                              strides=win.strides[:-1] + (step, -step),
+                              writeable=False)
+        return np.einsum("...t,...u,...tu->...", taps_a, taps_b, toeplitz)
 
     def correlate(self, obs: PathObservation) -> np.ndarray:
         """Cross-correlation of an observation with its path's waveform at

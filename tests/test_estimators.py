@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 ThresholdConfig, calibrate_threshold,
@@ -7,7 +8,8 @@ from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 peak_quantile, sic_modified_term, sic_run,
                                 sic_threshold, ssr_run)
 from mimoloc.geometry import Grid, Rect
-from mimoloc.likelihood import ObjectiveField, objective_field
+from mimoloc.likelihood import (ObjectiveField, alpha_mle_joint,
+                                gram_matrix, objective_field)
 from mimoloc.signal import (NoiseModel, PathObservation,
                             scale_alphas_for_snr, steering_vector,
                             synthesize_observation, whiten)
@@ -475,6 +477,55 @@ class TestJointSearch:
         report = joint_search(obs, coarse.waveforms, coarse.layout,
                               coarse.grid, 3, 0.0, cache=coarse.cache)
         assert {d.cell for d in report.detections} == set(cells)
+
+    def test_declared_alphas_match_gram_oracle(self, coarse):
+        cells = coarse.separated_cells(3, min_gap_samples=4.0,
+                                       min_dist=3000.0)
+        scene = coarse.scene([(coarse.grid.cell_center(c).x,
+                               coarse.grid.cell_center(c).y) for c in cells])
+        obs = scene_observations(coarse, scene, snr_db=15.0, seed=80)
+        report = joint_search(obs, coarse.waveforms, coarse.layout,
+                              coarse.grid, 3, 0.0, cache=coarse.cache)
+        assert {d.cell for d in report.detections} == set(cells)
+        thetas = [d.location for d in report.detections]
+        for p in range(coarse.layout.n_paths):
+            reps = np.stack([steering_vector(coarse.waveforms, p, th,
+                                             coarse.layout).samples
+                             for th in thetas], axis=1)
+            want = alpha_mle_joint(
+                gram_matrix(thetas, p, coarse.waveforms, coarse.layout),
+                reps.conj().T @ obs[p].r)
+            got = [d.alphas[p] for d in report.detections]
+            assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+
+def coarse_field(coarse, seed, n_targets):
+    """Objective field of n_targets random cells at 10 dB on the coarse
+    grid (n_targets = 0: noise only)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(coarse.grid.n_cells, n_targets, replace=False)
+    scene = coarse.scene([(coarse.grid.cell_center(c).x,
+                           coarse.grid.cell_center(c).y) for c in cells])
+    return field_for(coarse, scene, snr_db=10.0, seed=seed)
+
+
+class TestDetectorProperties:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(lam=st.floats(0.0, 30.0), g_max=st.integers(1, 144),
+           seed=st.integers(0, 2 ** 16), n_targets=st.integers(0, 3))
+    @example(lam=1e-3, g_max=144, seed=0, n_targets=0)
+    def test_distinct_cells_at_or_above_threshold(self, coarse, lam, g_max,
+                                                  seed, n_targets):
+        # SSR and SIC never declare a cell twice, and every declared value
+        # reaches the threshold it was declared against
+        thr = ThresholdConfig(lambda_prime=lam, pfa=0.1)
+        cfg = EstimatorConfig(g_max=g_max)
+        for run in (ssr_run, sic_run):
+            report = run(coarse_field(coarse, seed, n_targets), thr, cfg)
+            cells = [d.cell for d in report.detections]
+            assert len(cells) == len(set(cells)), run.__name__
+            for d in report.detections:
+                assert d.value >= d.threshold, run.__name__
 
 
 class TestReportSerialization:

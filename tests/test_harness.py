@@ -132,6 +132,25 @@ class TestLoadScenario:
         with pytest.raises(ConfigError, match="tile"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("trials", "ten"),
+        ("trials", 2.5),
+        ("g_max", "2.5"),
+        ("g_max", 0),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("seed", -1),
+        ("grid_cell_m", "big"),
+        ("grid_cell_m", -5),
+        ("grid_cell_m", 0),
+        ("calibration_trials", 50),
+        ("calibration_trials", True),
+    ])
+    def test_bad_value_fails_at_load(self, tmp_path, key, value):
+        path = write_mini(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            load_scenario(path)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_scenario("/nonexistent/path.cfg")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mimoloc import _kernels
+from mimoloc import KERNEL_BACKEND, _kernels
 
 
 def random_inputs(rng, n_cells=300, n_lags=2000, n_taps=8):
@@ -14,16 +14,16 @@ def random_inputs(rng, n_cells=300, n_lags=2000, n_taps=8):
     return corr, n0, np.ascontiguousarray(taps), energy
 
 
-def run(impl, corr, n0, taps, energy):
+def run(corr, n0, taps, energy):
     cross = np.empty(len(n0), dtype=complex)
     ll = np.empty(len(n0))
-    impl(corr, n0, taps, energy, cross, ll)
+    _kernels.path_objective(corr, n0, taps, energy, cross, ll)
     return cross, ll
 
 
 def test_numpy_kernel_matches_direct_sum(rng):
     corr, n0, taps, energy = random_inputs(rng)
-    cross, ll = run(_kernels.numpy_path_objective, corr, n0, taps, energy)
+    cross, ll = run(corr, n0, taps, energy)
     for c in (0, 5, 17, 123, 299):
         direct = sum(taps[c, t] * corr[n0[c] + t] for t in range(8))
         assert cross[c] == pytest.approx(direct, rel=1e-12)
@@ -31,17 +31,5 @@ def test_numpy_kernel_matches_direct_sum(rng):
         assert ll[c] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.skipif(not _kernels.HAVE_COMPILED,
-                    reason="compiled extension not built")
-def test_compiled_matches_numpy(rng):
-    for trial in range(5):
-        corr, n0, taps, energy = random_inputs(rng)
-        c1, l1 = run(_kernels.numpy_path_objective, corr, n0, taps, energy)
-        c2, l2 = run(_kernels.path_objective, corr, n0, taps, energy)
-        np.testing.assert_allclose(c2, c1, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(l2, l1, rtol=1e-13, atol=0)
-
-
 def test_backend_reported():
-    assert _kernels.BACKEND in ("compiled", "numpy")
-    assert (_kernels.BACKEND == "compiled") == _kernels.HAVE_COMPILED
+    assert KERNEL_BACKEND == _kernels.BACKEND == "numpy"

@@ -213,10 +213,39 @@ class TestObjectiveField:
         mask = fld.footprint_of_cell(cell)
         fld.mark_subtracted(mask)
         fld.mark_subtracted(mask)  # idempotent: nothing subtracted twice
-        assert fld.consistent()
+        assert fld.combined[cell] == 0.0  # fully cancelled, no residue
         expect = (original * ~mask).sum(axis=0)
         assert np.allclose(fld.combined, np.clip(expect, 0.0, None),
                            atol=1e-9)
+
+
+class TestReplicaInnerProducts:
+    """The cache's tap-form inner products against the materialized
+    replicas of gram_matrix."""
+
+    @pytest.mark.parametrize("setup_name", ["coarse", "two_antenna"])
+    def test_random_pairs_match_gram_matrix(self, setup_name, request):
+        setup = request.getfixturevalue(setup_name)
+        cache = setup.cache
+        usable = np.flatnonzero(~cache.out_of_window.any(axis=0))
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            p = int(rng.integers(setup.layout.n_paths))
+            a, b = rng.choice(usable, 2)   # a == b: the diagonal
+            want = gram_matrix([setup.grid.cell_center(a),
+                                setup.grid.cell_center(b)], p,
+                               setup.waveforms, setup.layout).values
+            got = cache.inner_products(p, np.array([[a], [b]]),
+                                       np.array([[a, b]]))
+            assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_diagonal_is_cached_energy(self, coarse):
+        cells = np.arange(coarse.grid.n_cells)
+        for p in range(coarse.layout.n_paths):
+            e = coarse.cache.inner_products(p, cells, cells)
+            inside = ~coarse.cache.out_of_window[p]
+            assert np.array_equal(e.real[inside],
+                                  coarse.cache.energy[p, inside])
 
 
 class TestGram:
