@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import ThresholdConfig, sic_modified_term
-from .harness import (RunContext, load_scenario, run_sweep, run_trial,
-                      trial_observations)
+from .harness import (RunContext, check_int, load_scenario, run_sweep,
+                      run_trial, trial_observations)
 from .likelihood import (COMBINED_FIELD_ID, objective_field,
                          save_gridmap_binary, save_gridmap_csv)
 
@@ -90,10 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
+    """The scenario, with --seed/--trials checked as its own fields are."""
     cfg = load_scenario(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    overrides = {key: check_int(getattr(args, key), f"--{key}", low)
+                 for key, low in (("seed", 0), ("trials", 1))
+                 if getattr(args, key, None) is not None}
+    return replace(cfg, **overrides)
 
 
 def _cmd_calibrate(args) -> int:
@@ -127,7 +129,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load(args)
     thr = _thresholds_from_json(args.thresholds) if args.thresholds else None
     records = run_sweep(cfg, algorithm=args.algo, out_dir=args.out,
-                        thresholds=thr, trials=args.trials)
+                        thresholds=thr)
     out_dir = args.out or cfg.output_dir
     for r in records:
         print(f"{r.algorithm} snr={r.snr_db:+.1f} dB target {r.target}: "

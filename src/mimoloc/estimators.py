@@ -6,23 +6,27 @@ every cell sharing a range bin with it from the candidate set.  SIC
 subtracts the declared target's per-path log-likelihood contribution
 from the objective, rescaling the threshold by the number of paths
 still alive at each cell.  The joint search maximizes the concentrated
-joint likelihood over cell tuples exhaustively and is only feasible for
-a handful of targets.
+joint likelihood exhaustively: the field argmax for one target, else one
+batched LDL^H solve per path over the gap-ok cell tuples.  Its cost grows
+exponentially with the target count, so it has a tuple budget.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import AntennaLayout, Grid, Position2D, Scene
-from .likelihood import ObjectiveField, ReplicaCache, objective_field
+from .likelihood import (SINGULARITY_TOL_SAMPLES, ObjectiveField,
+                         ReplicaCache, objective_field)
 from .signal import (NoiseModel, WaveformSet, synthesize_observation,
                      whiten)
 from .streams import TAG_CALIBRATION, substream
 
-JOINT_MAX_TARGETS = 3
+# most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
+JOINT_MAX_TUPLES = math.comb(2500, 2)
+JOINT_CHUNK = 1 << 16     # tuples (or Gram entries) per vectorized block
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,6 @@ class EstimatorConfig:
     g_max: int = 5
     algorithm: str = "ssr"
     early_stop: bool = True
-    singularity_tol_samples: float = 1.0
 
     def __post_init__(self):
         if self.g_max < 1:
@@ -255,26 +258,25 @@ def sic_run(fld: ObjectiveField, thresholds: ThresholdConfig,
 
 def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
                  grid: Grid, n_targets: int, threshold: float,
-                 cache: ReplicaCache | None = None,
-                 config: EstimatorConfig | None = None) -> DetectionReport:
+                 cache: ReplicaCache | None = None) -> DetectionReport:
     """Exhaustive maximization of the joint concentrated log-likelihood
     over unordered tuples of grid cells (the objective is symmetric under
     permutation, so ordered tuples add nothing).
 
-    Tuples containing a delay pair closer than the singularity tolerance
-    on any path are excluded from the search.  The tuple is declared only
-    when the summed statistic reaches the threshold.
+    Only the tuples of gap_ok_tuples are scored.  For G = n_targets >= 2,
+    a search whose enumeration may hold more than JOINT_MAX_TUPLES tuples
+    at some stage (up to C(n_cells, min(G, n_cells // 2))) is refused
+    before any work.  The tuple is declared only when the summed statistic
+    reaches the threshold.
     """
-    if config is None:
-        config = EstimatorConfig(g_max=max(n_targets, 1), algorithm="joint")
-    if not 1 <= n_targets <= JOINT_MAX_TARGETS:
+    if n_targets < 1:
+        raise ValueError(f"n_targets must be >= 1, got {n_targets}")
+    largest = math.comb(grid.n_cells, min(n_targets, grid.n_cells // 2))
+    if n_targets > 1 and largest > JOINT_MAX_TUPLES:
         raise ValueError(
-            f"joint search limited to small G (1..{JOINT_MAX_TARGETS}); "
-            "its complexity grows exponentially with the target count")
-    if n_targets >= 2 and grid.n_cells > 2500:
-        raise ValueError(
-            "joint search enumerates all cell tuples; use a coarser grid "
-            f"(got {grid.n_cells} cells, limit 2500 for G >= 2)")
+            f"joint search for {n_targets} targets on {grid.n_cells} cells "
+            f"may hold {largest} cell tuples at once, over its budget of "
+            f"{JOINT_MAX_TUPLES}; use fewer targets or a coarser grid")
     if cache is None:
         cache = ReplicaCache(waveforms, layout, grid)
     fld = objective_field(observations, waveforms, layout, grid, cache=cache)
@@ -282,20 +284,34 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
 
     if n_targets == 1:
         cell = fld.argmax_cell()
-        total = float(fld.combined[cell])
-        best = (cell,)
+        best, total = (cell,), float(fld.combined[cell])
     else:
-        best, total = _joint_search_multi(fld, cache, n_targets,
-                                          config.singularity_tol_samples)
-        if best is None:
+        tuples = gap_ok_tuples(cache, n_targets)
+        if len(tuples) == 0:
             return report
+        # path-outer, chunk-inner: one path's Gram at a time
+        totals = np.zeros(len(tuples))
+        for p in range(fld.n_paths):
+            gram = _path_gram(fld, cache, p, np.arange(grid.n_cells))
+            for lo in range(0, len(tuples), JOINT_CHUNK):
+                totals[lo: lo + JOINT_CHUNK] += joint_path_statistic(
+                    gram, fld.cross[p], tuples[lo: lo + JOINT_CHUNK])[0]
+        i = int(np.argmax(totals))
+        best, total = tuple(int(c) for c in tuples[i]), float(totals[i])
     if total < threshold:
         return report
 
     # order declarations by single-target objective, strongest first
-    cells = sorted(best, key=lambda c: (-fld.combined[c], c))
-    alphas = _joint_alphas(fld, cache, cells, config.singularity_tol_samples)
-    for i, cell in enumerate(cells, start=1):
+    cells = np.array(sorted(best, key=lambda c: (-fld.combined[c], c)))
+    if n_targets == 1:
+        alphas = fld.alphas_at(cells[0])[:, None]
+    else:
+        order = np.arange(n_targets)[None, :]
+        alphas = np.stack([
+            joint_path_statistic(_path_gram(fld, cache, p, cells),
+                                 fld.cross[p, cells], order, alphas=True)[1][0]
+            for p in range(fld.n_paths)])
+    for i, cell in enumerate(cells.tolist(), start=1):
         report.detections.append(Detection(
             iteration=i, cell=cell, location=fld.grid.cell_center(cell),
             value=total, threshold=threshold,
@@ -304,89 +320,70 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
     return report
 
 
-def _joint_search_multi(fld: ObjectiveField, cache: ReplicaCache,
-                        n_targets: int, tol_samples: float):
-    n_paths, n_cells = fld.per_path_ll.shape
-    ts = cache.waveforms.Ts
-    cross = fld.cross
-    energy = fld.energy
-    c = np.arange(n_cells)
-    grams = np.stack([cache.inner_products(p, c[:, None], c[None, :])
-                      for p in range(n_paths)])
-    # collision mask: delay gap under the tolerance on any path
-    gap_ok = np.ones((n_cells, n_cells), dtype=bool)
-    for p in range(n_paths):
-        d = cache.delays[p]
-        gap_ok &= np.abs(d[None, :] - d[:, None]) >= tol_samples * ts
-    usable = ~fld.out_of_window.any(axis=0)
-
-    if n_targets == 2:
-        i1, i2 = np.triu_indices(n_cells, k=1)
-        keep = gap_ok[i1, i2] & usable[i1] & usable[i2]
-        i1, i2 = i1[keep], i2[keep]
-        if len(i1) == 0:
-            return None, -np.inf
-        total = np.zeros(len(i1))
-        for p in range(n_paths):
-            e1, e2 = energy[p, i1], energy[p, i2]
-            x1, x2 = cross[p, i1], cross[p, i2]
-            g = grams[p, i1, i2]
-            det = e1 * e2 - np.abs(g) ** 2
-            q = (e2 * np.abs(x1) ** 2 + e1 * np.abs(x2) ** 2
-                 - 2.0 * np.real(g * np.conj(x1) * x2)) / det
-            total += 0.5 * q
-        best = int(np.argmax(total))
-        return (int(i1[best]), int(i2[best])), float(total[best])
-
-    # G = 3: chunked batched solves
-    cells = np.flatnonzero(usable)
-    combos = np.array(list(itertools.combinations(cells.tolist(), 3)),
-                      dtype=np.int64)
-    if len(combos) == 0:
-        return None, -np.inf
-    ok = (gap_ok[combos[:, 0], combos[:, 1]]
-          & gap_ok[combos[:, 0], combos[:, 2]]
-          & gap_ok[combos[:, 1], combos[:, 2]])
-    combos = combos[ok]
-    if len(combos) == 0:
-        return None, -np.inf
-    best_val, best_combo = -np.inf, None
-    chunk = 200_000
-    for lo in range(0, len(combos), chunk):
-        part = combos[lo: lo + chunk]
-        total = np.zeros(len(part))
-        for p in range(n_paths):
-            g = grams[p][part[:, :, None], part[:, None, :]]  # (B, 3, 3)
-            idx = np.arange(3)
-            g[:, idx, idx] = energy[p, part]
-            x = cross[p, part]                                # (B, 3)
-            sol = np.linalg.solve(g, x[..., None])[..., 0]
-            total += 0.5 * np.real(np.einsum("bi,bi->b", np.conj(x), sol))
-        i = int(np.argmax(total))
-        if total[i] > best_val:
-            best_val = float(total[i])
-            best_combo = tuple(int(c) for c in part[i])
-    return best_combo, best_val
+def gap_ok_tuples(cache: ReplicaCache, n_targets: int) -> np.ndarray:
+    """The cell tuples the joint search scores, shape (T, n_targets), in
+    lexicographic order: cells in the window on every path whose delays
+    lie SINGULARITY_TOL_SAMPLES or more apart on every path (closer pairs'
+    reflection coefficients are unidentifiable)."""
+    usable = ~cache.out_of_window.any(axis=0)
+    tol = SINGULARITY_TOL_SAMPLES * cache.waveforms.Ts
+    # ok[a, b]: a < b may share a tuple
+    ok = np.triu(usable[:, None] & usable[None, :], k=1)
+    for d in cache.delays:
+        ok &= np.abs(d[None, :] - d[:, None]) >= tol
+    tuples = np.flatnonzero(usable)[:, None]
+    for _ in range(n_targets - 1):
+        # cells that may join every member: one (T, C) mask, member by member
+        fits = ok[tuples[:, 0]]
+        for member in tuples.T[1:]:
+            fits &= ok[member]
+        rows, cells = np.nonzero(fits)
+        tuples = np.column_stack([tuples[rows], cells])
+    return tuples
 
 
-def _joint_alphas(fld: ObjectiveField, cache: ReplicaCache, cells,
-                  tol_samples: float) -> np.ndarray:
-    """Per-path joint reflection-coefficient estimates for the declared
-    tuple, shape (n_paths, G); NaN on paths where the tuple is singular."""
-    n_paths = fld.per_path_ll.shape[0]
-    idx = np.asarray(cells)
-    g_n = len(idx)
-    out = np.full((n_paths, g_n), np.nan + 0j, dtype=complex)
-    ts = cache.waveforms.Ts
-    for p in range(n_paths):
-        d = cache.delays[p, idx]
-        if g_n > 1 and np.min(np.abs(d[:, None] - d[None, :])
-                              [~np.eye(g_n, dtype=bool)]) < tol_samples * ts:
-            continue
-        gram = cache.inner_products(p, idx[:, None], idx[None, :])
-        x = fld.cross[p, idx]
-        try:
-            out[p] = np.linalg.solve(gram, x)
-        except np.linalg.LinAlgError:
-            continue
-    return out
+def _path_gram(fld: ObjectiveField, cache: ReplicaCache, path: int,
+               cells: np.ndarray) -> np.ndarray:
+    """One path's replica Gram matrix of the cells, energies on the
+    diagonal; built in row blocks of ~JOINT_CHUNK entries, which bounds the
+    inner products' lag-window temporaries."""
+    n = len(cells)
+    gram = np.empty((n, n), dtype=complex)
+    step = max(1, JOINT_CHUNK // n)
+    for lo in range(0, n, step):
+        gram[lo: lo + step] = cache.inner_products(
+            path, cells[lo: lo + step, None], cells[None, :])
+    gram[np.diag_indices(n)] = fld.energy[path, cells]
+    return gram
+
+
+def joint_path_statistic(gram: np.ndarray, cross: np.ndarray,
+                         tuples: np.ndarray, alphas: bool = False):
+    """One path's joint concentrated log-likelihood 0.5 x^H A^-1 x for each
+    cell tuple t (rows of tuples), A = gram[t][:, t], x = cross[t] (the
+    products s~^H r).  An unpivoted LDL^H factorization A = L D L^H runs
+    vectorized over the tuples: with L y = x, the value is
+    0.5 sum_j |y_j|^2 / D_j.  Reads only the diagonal and gram[t_i, t_j],
+    i > j.  Returns (values, None), or with alphas=True (values, A^-1 x),
+    the joint reflection-coefficient MLEs by back substitution.
+    """
+    t = tuples.T
+    g_n = len(t)
+    low, d, y = {}, [], []        # L[i, j] (i > j), D, y
+    values = np.zeros(t.shape[1])
+    for j in range(g_n):
+        w = [np.conj(low[j, k]) * d[k] for k in range(j)]   # conj(L_jk) D_k
+        d.append(gram[t[j], t[j]].real
+                 - sum((low[j, k] * w[k]).real for k in range(j)))
+        y.append(cross[t[j]] - sum(low[j, k] * y[k] for k in range(j)))
+        for i in range(j + 1, g_n):
+            low[i, j] = (gram[t[i], t[j]]
+                         - sum(low[i, k] * w[k] for k in range(j))) / d[j]
+        values += 0.5 * (y[j].real ** 2 + y[j].imag ** 2) / d[j]
+    if not alphas:
+        return values, None
+    a = [None] * g_n
+    for j in reversed(range(g_n)):
+        a[j] = y[j] / d[j] - sum(np.conj(low[k, j]) * a[k]
+                                 for k in range(j + 1, g_n))
+    return values, np.stack(a, axis=-1)

@@ -107,7 +107,7 @@ def _reject_unknown(mapping: dict, allowed, where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _integer(value, where: str, minimum: int) -> int:
+def check_int(value, where: str, minimum: int) -> int:
     """A JSON integer (a float with no fractional part passes) of at
     least minimum."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -198,15 +198,15 @@ def load_scenario(path) -> ScenarioConfig:
     snr = [float(v) for v in _require(raw, "snr_db", path)]
     if not snr:
         raise ConfigError(f"{path}: snr_db must be nonempty")
-    trials = _integer(_require(raw, "trials", path), f"{path}: trials", 1)
+    trials = check_int(_require(raw, "trials", path), f"{path}: trials", 1)
     pfa = float(_require(raw, "pfa", path))
     if not 0.0 < pfa < 1.0:
         raise ConfigError(f"{path}: pfa must lie in (0, 1)")
-    seed = _integer(_require(raw, "seed", path), f"{path}: seed", 0)
+    seed = check_int(_require(raw, "seed", path), f"{path}: seed", 0)
     algorithm = _require(raw, "algorithm", path)
     if algorithm not in ("ssr", "sic", "joint"):
         raise ConfigError(f"{path}: algorithm must be ssr, sic or joint")
-    g_max = _integer(_require(raw, "g_max", path), f"{path}: g_max", 1)
+    g_max = check_int(_require(raw, "g_max", path), f"{path}: g_max", 1)
     grid_cell = _require(raw, "grid_cell_m", path)
     if isinstance(grid_cell, bool) or not isinstance(grid_cell, (int, float)):
         raise ConfigError(f"{path}: grid_cell_m must be a number, "
@@ -228,8 +228,8 @@ def load_scenario(path) -> ScenarioConfig:
         snr_db=tuple(snr),
         pfa=pfa,
         trials=trials,
-        calibration_trials=_integer(raw.get("calibration_trials", 1000),
-                                    f"{path}: calibration_trials", 100),
+        calibration_trials=check_int(raw.get("calibration_trials", 1000),
+                                     f"{path}: calibration_trials", 100),
         g_max=g_max,
         algorithm=algorithm,
         single_target_benchmark=bool(raw.get("single_target_benchmark",

@@ -1,15 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mimoloc import estimators
 from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 ThresholdConfig, calibrate_threshold,
-                                h0_objective_peaks, joint_search,
+                                gap_ok_tuples, h0_objective_peaks,
+                                joint_path_statistic, joint_search,
                                 peak_quantile, sic_modified_term, sic_run,
                                 sic_threshold, ssr_run)
 from mimoloc.geometry import Grid, Rect
 from mimoloc.likelihood import (ObjectiveField, alpha_mle_joint,
-                                gram_matrix, objective_field)
+                                gram_matrix, joint_path_loglik,
+                                objective_field)
 from mimoloc.signal import (NoiseModel, PathObservation,
                             scale_alphas_for_snr, steering_vector,
                             synthesize_observation, whiten)
@@ -498,15 +503,143 @@ class TestJointSearch:
             got = [d.alphas[p] for d in report.detections]
             assert np.allclose(got, want, rtol=1e-9, atol=0)
 
+    def test_tuple_budget_checked_before_any_work(self, coarse, monkeypatch):
+        # refused before the replica cache or the objective field is built:
+        # C(400, 3) ~ 1.06e7 tuples on a 20 x 20 grid; on the 144-cell grid,
+        # 142 or 145 targets, whose enumeration passes through the 72-cell
+        # stage of up to C(144, 72) tuples although C(144, 142) is small
+        # and C(144, 145) is 0
+        grid = Grid(coarse.region, 600.0)
+        assert grid.n_cells == 400
+        n = coarse.grid.n_cells
+
+        def never(*args, **kwargs):
+            raise AssertionError("joint search started work over budget")
+        monkeypatch.setattr(estimators, "ReplicaCache", never)
+        monkeypatch.setattr(estimators, "objective_field", never)
+        for g, n_targets in [(grid, 3), (coarse.grid, n - 2),
+                             (coarse.grid, n + 1)]:
+            with pytest.raises(ValueError, match="budget"):
+                joint_search([], coarse.waveforms, coarse.layout, g,
+                             n_targets, 0.0)
+        with pytest.raises(ValueError, match="n_targets"):
+            joint_search([], coarse.waveforms, coarse.layout, coarse.grid,
+                         0, 0.0)
+
+    def test_single_target_has_no_tuple_budget(self, coarse, monkeypatch):
+        # one target is the field argmax and enumerates no tuples, so it
+        # runs on a grid with more cells than the budget allows tuples
+        monkeypatch.setattr(estimators, "JOINT_MAX_TUPLES",
+                            coarse.grid.n_cells - 1)
+        scene = coarse.scene([(2250.0, 2750.0)])
+        obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
+        fld = objective_field(obs, coarse.waveforms, coarse.layout,
+                              coarse.grid, cache=coarse.cache)
+        report = joint_search(obs, coarse.waveforms, coarse.layout,
+                              coarse.grid, 1, 0.0, cache=coarse.cache)
+        assert [d.cell for d in report.detections] == [fld.argmax_cell()]
+        with pytest.raises(ValueError, match="budget"):
+            joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
+                         2, 0.0, cache=coarse.cache)
+
+    def test_small_blocks_match_one_block(self, coarse, monkeypatch):
+        # with JOINT_CHUNK = 64, each path's Gram is built one row per block
+        # and the pairs are scored in many chunks: same Gram, same result
+        scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
+        obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
+        fld = objective_field(obs, coarse.waveforms, coarse.layout,
+                              coarse.grid, cache=coarse.cache)
+        want = joint_search(obs, coarse.waveforms, coarse.layout,
+                            coarse.grid, 2, 0.0, cache=coarse.cache)
+        monkeypatch.setattr(estimators, "JOINT_CHUNK", 64)
+        cells = np.arange(coarse.grid.n_cells)
+        off = ~np.eye(len(cells), dtype=bool)
+        for p in range(coarse.layout.n_paths):
+            gram = estimators._path_gram(fld, coarse.cache, p, cells)
+            full = coarse.cache.inner_products(p, cells[:, None],
+                                               cells[None, :])
+            np.testing.assert_allclose(gram[off], full[off], rtol=1e-13)
+            np.testing.assert_array_equal(gram.diagonal(), fld.energy[p])
+        got = joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
+                           2, 0.0, cache=coarse.cache)
+        assert ([d.cell for d in got.detections]
+                == [d.cell for d in want.detections])
+        assert got.accumulated_objective == pytest.approx(
+            want.accumulated_objective, rel=1e-13)
+
+    @pytest.mark.parametrize("n_targets", [2, 3])
+    def test_gap_ok_tuples_are_filtered_combinations(self, coarse,
+                                                     n_targets):
+        # the enumerator yields the gap-ok tuples of usable cells in
+        # itertools.combinations order
+        cache = coarse.cache
+        usable = np.flatnonzero(~cache.out_of_window.any(axis=0))
+        combos = np.array(list(itertools.combinations(usable.tolist(),
+                                                      n_targets)))
+        keep = np.ones(len(combos), dtype=bool)
+        for i, j in itertools.combinations(range(n_targets), 2):
+            gap = np.abs(cache.delays[:, combos[:, i]]
+                         - cache.delays[:, combos[:, j]]).min(axis=0)
+            keep &= gap >= coarse.waveforms.Ts
+        np.testing.assert_array_equal(gap_ok_tuples(cache, n_targets),
+                                      combos[keep])
+
+
+class TestJointPathStatistic:
+    @pytest.mark.parametrize("n_targets", [1, 2, 3, 4])
+    def test_matches_gram_oracle(self, coarse, n_targets):
+        # per-path value and alphas of random gap-ok tuples against the
+        # materialized-replica oracles
+        scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
+        obs = scene_observations(coarse, scene, snr_db=10.0, seed=81)
+        fld = objective_field(obs, coarse.waveforms, coarse.layout,
+                              coarse.grid, cache=coarse.cache)
+        cache, ts = coarse.cache, coarse.waveforms.Ts
+        rng = np.random.default_rng(n_targets)
+        tuples = []
+        while len(tuples) < 6:
+            t = np.sort(rng.choice(coarse.grid.n_cells, n_targets,
+                                   replace=False))
+            d = cache.delays[:, t]
+            gaps = np.abs(d[:, :, None] - d[:, None, :])
+            if (np.all(gaps[:, ~np.eye(n_targets, dtype=bool)] >= ts)
+                    and not cache.out_of_window[:, t].any()):
+                tuples.append(t)
+        tuples = np.array(tuples)
+        cells = np.arange(coarse.grid.n_cells)
+        for p in range(coarse.layout.n_paths):
+            gram = cache.inner_products(p, cells[:, None], cells[None, :])
+            values, alphas = joint_path_statistic(gram, fld.cross[p], tuples,
+                                                  alphas=True)
+            assert joint_path_statistic(gram, fld.cross[p], tuples)[1] is None
+            for t, value, alpha in zip(tuples, values, alphas):
+                thetas = [coarse.grid.cell_center(c) for c in t]
+                reps = np.stack([steering_vector(coarse.waveforms, p, th,
+                                                 coarse.layout).samples
+                                 for th in thetas], axis=1)
+                want_alpha = alpha_mle_joint(
+                    gram_matrix(thetas, p, coarse.waveforms, coarse.layout),
+                    reps.conj().T @ obs[p].r)
+                want = joint_path_loglik(thetas, obs[p], coarse.waveforms,
+                                         coarse.layout, p)
+                assert value == pytest.approx(want, rel=1e-9)
+                assert np.allclose(alpha, want_alpha, rtol=1e-9, atol=0)
+
+
+def coarse_scene(coarse, seed, n_targets):
+    """Scene of n_targets random cells of the coarse grid (n_targets = 0:
+    empty)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(coarse.grid.n_cells, n_targets, replace=False)
+    return coarse.scene([(coarse.grid.cell_center(c).x,
+                          coarse.grid.cell_center(c).y) for c in cells])
+
 
 def coarse_field(coarse, seed, n_targets):
     """Objective field of n_targets random cells at 10 dB on the coarse
     grid (n_targets = 0: noise only)."""
-    rng = np.random.default_rng(seed)
-    cells = rng.choice(coarse.grid.n_cells, n_targets, replace=False)
-    scene = coarse.scene([(coarse.grid.cell_center(c).x,
-                           coarse.grid.cell_center(c).y) for c in cells])
-    return field_for(coarse, scene, snr_db=10.0, seed=seed)
+    return field_for(coarse, coarse_scene(coarse, seed, n_targets),
+                     snr_db=10.0, seed=seed)
 
 
 class TestDetectorProperties:
@@ -526,6 +659,29 @@ class TestDetectorProperties:
             assert len(cells) == len(set(cells)), run.__name__
             for d in report.detections:
                 assert d.value >= d.threshold, run.__name__
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2 ** 16), n_targets=st.integers(0, 3))
+    def test_joint_search_matches_field_and_oracle(self, coarse, seed,
+                                                    n_targets):
+        # G = 1 declares the field argmax; G = 2 declares a total equal to
+        # the summed per-path joint log-likelihood of the declared pair
+        obs = scene_observations(coarse, coarse_scene(coarse, seed,
+                                                      n_targets),
+                                 snr_db=10.0, seed=seed)
+        fld = objective_field(obs, coarse.waveforms, coarse.layout,
+                              coarse.grid, cache=coarse.cache)
+        one = joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
+                           1, 0.0, cache=coarse.cache)
+        assert [d.cell for d in one.detections] == [fld.argmax_cell()]
+        two = joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
+                           2, 0.0, cache=coarse.cache)
+        assert two.g_hat == 2
+        thetas = two.locations()
+        want = sum(joint_path_loglik(thetas, obs[p], coarse.waveforms,
+                                     coarse.layout, p)
+                   for p in range(coarse.layout.n_paths))
+        assert two.accumulated_objective == pytest.approx(want, rel=1e-9)
 
 
 class TestReportSerialization:

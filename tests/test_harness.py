@@ -376,6 +376,31 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert cli.main(["sweep", "/nonexistent.cfg"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--seed", "-1"],
+        ["run", "--snr", "10", "--trial", "0", "--seed", "-1"],
+        ["sweep", "--seed", "-1"],
+        ["sweep", "--trials", "0"],
+        ["sweep", "--trials", "-3"],
+    ])
+    def test_bad_override_fails_at_load(self, tmp_path, capsys, monkeypatch,
+                                        argv):
+        # --seed/--trials pass the config's own checks: exit 1, nothing
+        # written
+        path = write_mini(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([argv[0], path] + argv[1:]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mini.cfg"]
+
+    def test_trials_override_sets_trial_count(self, tmp_path, capsys):
+        path = write_mini(tmp_path, trials=3)
+        out_dir = tmp_path / "sweep_out"
+        assert cli.main(["sweep", path, "--trials", "1",
+                         "--out", str(out_dir)]) == 0
+        assert {r.trials for r in read_metrics_csv(out_dir / "metrics.csv")} \
+            == {1}
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         path = write_mini(tmp_path)
         # negative trial index breaks the stream derivation downstream
