@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import ThresholdConfig, sic_modified_term
-from .harness import (RunContext, check_int, load_scenario, run_sweep,
-                      run_trial, trial_observations)
+from .harness import (RunContext, check_int, check_white_for_joint,
+                      load_scenario, run_sweep, run_trial,
+                      trial_observations)
 from .likelihood import (COMBINED_FIELD_ID, objective_field,
                          save_gridmap_binary, save_gridmap_csv)
 
@@ -90,8 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    """The scenario, with --seed/--trials checked as its own fields are."""
+    """The scenario, with --seed/--trials/--algo checked as its own fields
+    are."""
     cfg = load_scenario(args.config)
+    check_white_for_joint(getattr(args, "algo", None), cfg.clutter, "--algo")
     overrides = {key: check_int(getattr(args, key), f"--{key}", low)
                  for key, low in (("seed", 0), ("trials", 1))
                  if getattr(args, key, None) is not None}

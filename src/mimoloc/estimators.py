@@ -135,7 +135,7 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
                        tag: int = TAG_CALIBRATION) -> np.ndarray:
     """Grid peaks of the objective under the noise-only hypothesis."""
     if cache is None:
-        cache = ReplicaCache(waveforms, layout, grid)
+        cache = ReplicaCache(waveforms, layout, grid, noise)
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
@@ -267,7 +267,9 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
     a search whose enumeration may hold more than JOINT_MAX_TUPLES tuples
     at some stage (up to C(n_cells, min(G, n_cells // 2))) is refused
     before any work.  The tuple is declared only when the summed statistic
-    reaches the threshold.
+    reaches the threshold.  White noise only: the Gram's off-diagonal
+    inner products are not weighted by R^-1, so a cache built with
+    clutter is refused.
     """
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
@@ -279,6 +281,9 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
             f"{JOINT_MAX_TUPLES}; use fewer targets or a coarser grid")
     if cache is None:
         cache = ReplicaCache(waveforms, layout, grid)
+    elif not cache.noise.is_white:
+        raise ValueError("joint search needs white noise; this cache was "
+                         "built with clutter")
     fld = objective_field(observations, waveforms, layout, grid, cache=cache)
     report = DetectionReport(algorithm="joint", lambda_prime=threshold)
 

@@ -14,7 +14,10 @@ required unless marked optional, unknown keys rejected:
                              proportion is the relative square modulus of
                              the reflection amplitudes
     waveforms                {window_s, samples, pulse_width_s}
-    noise                    {sigma_sq} with optional {clutter: {rho, power}}
+    noise                    {sigma_sq} with optional {clutter: {rho, power}},
+                             AR(1) clutter power * rho^|i-j|: finite rho
+                             with |rho| < 1, finite power > 0; not with
+                             algorithm "joint" (white noise only)
     snr_db                   [floats], sweep points
     pfa                      float in (0, 1)
     trials                   int >= 1, Monte Carlo trials per SNR
@@ -46,9 +49,8 @@ from .estimators import (DetectionReport, EstimatorConfig, ThresholdConfig,
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
                        TargetTruth)
 from .likelihood import ReplicaCache, objective_field
-from .signal import (NoiseModel, build_waveform_set, exp_clutter_cov,
-                     reference_energies, scale_alphas_for_snr,
-                     synthesize_observation, whiten)
+from .signal import (NoiseModel, build_waveform_set, reference_energies,
+                     scale_alphas_for_snr, synthesize_observation, whiten)
 from .streams import TAG_HOLDOUT, TAG_NOISE, TAG_PHASE, substream
 
 VALID_RADIUS_M = 200.0
@@ -116,6 +118,20 @@ def check_int(value, where: str, minimum: int) -> int:
     if value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}")
     return int(value)
+
+
+def check_number(value, where: str) -> float:
+    """A JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def check_white_for_joint(algorithm: str, clutter, where: str) -> None:
+    """The joint search runs on white noise only."""
+    if algorithm == "joint" and clutter is not None:
+        raise ConfigError(f"{where}: the joint search needs white noise, "
+                          "but the scenario has noise.clutter")
 
 
 def _positions_km(entries, where: str):
@@ -192,8 +208,16 @@ def load_scenario(path) -> ScenarioConfig:
     if noise_raw.get("clutter") is not None:
         cl = noise_raw["clutter"]
         _reject_unknown(cl, {"rho", "power"}, f"{path}: noise.clutter")
-        clutter = (float(_require(cl, "rho", "noise.clutter")),
-                   float(_require(cl, "power", "noise.clutter")))
+        rho, power = (check_number(_require(cl, key, "noise.clutter"),
+                                   f"{path}: noise.clutter.{key}")
+                      for key in ("rho", "power"))
+        if not abs(rho) < 1.0:
+            raise ConfigError(f"{path}: noise.clutter.rho must be finite "
+                              f"with |rho| < 1, got {rho!r}")
+        if not (math.isfinite(power) and power > 0.0):
+            raise ConfigError(f"{path}: noise.clutter.power must be finite "
+                              f"and positive, got {power!r}")
+        clutter = (rho, power)
 
     snr = [float(v) for v in _require(raw, "snr_db", path)]
     if not snr:
@@ -206,18 +230,17 @@ def load_scenario(path) -> ScenarioConfig:
     algorithm = _require(raw, "algorithm", path)
     if algorithm not in ("ssr", "sic", "joint"):
         raise ConfigError(f"{path}: algorithm must be ssr, sic or joint")
+    check_white_for_joint(algorithm, clutter, f"{path}: algorithm")
     g_max = check_int(_require(raw, "g_max", path), f"{path}: g_max", 1)
-    grid_cell = _require(raw, "grid_cell_m", path)
-    if isinstance(grid_cell, bool) or not isinstance(grid_cell, (int, float)):
-        raise ConfigError(f"{path}: grid_cell_m must be a number, "
-                          f"got {grid_cell!r}")
+    grid_cell = check_number(_require(raw, "grid_cell_m", path),
+                             f"{path}: grid_cell_m")
 
     cfg = ScenarioConfig(
         name=str(_require(raw, "name", path)),
         seed=seed,
         layout=layout,
         region=region,
-        grid_cell=float(grid_cell),
+        grid_cell=grid_cell,
         target_positions=tuple(targets),
         proportions=tuple(proportions),
         window=float(_require(wf, "window_s", "waveforms")),
@@ -255,12 +278,9 @@ class RunContext:
         self.grid = Grid(cfg.region, cfg.grid_cell)
         self.waveforms = build_waveform_set(
             cfg.layout.n_tx, cfg.window, cfg.n_samples, cfg.pulse_width)
-        clutter_cov = None
-        if cfg.clutter is not None:
-            clutter_cov = exp_clutter_cov(cfg.n_samples, *cfg.clutter)
-        self.noise = NoiseModel(sigma_sq=cfg.sigma_sq,
-                                clutter_cov=clutter_cov)
-        self.cache = ReplicaCache(self.waveforms, self.layout, self.grid)
+        self.noise = NoiseModel(sigma_sq=cfg.sigma_sq, clutter=cfg.clutter)
+        self.cache = ReplicaCache(self.waveforms, self.layout, self.grid,
+                                  self.noise)
         self.scene = Scene(
             layout=self.layout,
             targets=tuple(TargetTruth(position=p, amplitude_sq=prop)
@@ -275,9 +295,13 @@ class RunContext:
                 cfg.target_positions[ref_g])
 
     def calibrate(self, trials: int | None = None) -> ThresholdConfig:
+        """lambda' from trials H0 trials (default: the config's
+        calibration_trials; at least 100)."""
+        if trials is None:
+            trials = self.cfg.calibration_trials
         return calibrate_threshold(
             self.waveforms, self.layout, self.grid, self.noise,
-            self.cfg.pfa, trials or self.cfg.calibration_trials,
+            self.cfg.pfa, check_int(trials, "calibration trials", 100),
             self.cfg.seed, cache=self.cache)
 
 
@@ -456,7 +480,7 @@ def run_sweep(cfg: ScenarioConfig, algorithm: str | None = None,
     """
     algorithm = algorithm or cfg.algorithm
     out_dir = out_dir or cfg.output_dir
-    trials = trials or cfg.trials
+    trials = check_int(cfg.trials if trials is None else trials, "trials", 1)
     snr_list = list(snr_list if snr_list is not None else cfg.snr_db)
     os.makedirs(out_dir, exist_ok=True)
     if ctx is None:

@@ -1,7 +1,14 @@
 """Concentrated log-likelihoods, Gram matrices and the gridded objective.
 
-All likelihood evaluation happens after whitening, so the noise
-covariance is the identity throughout this module.
+All likelihood evaluation happens after whitening (signal.whiten).  With
+white noise the whitened noise covariance is the identity and the
+replica energies are s^H s.  With AR(1) clutter the observations arrive
+as R^-1 r and the ReplicaCache built with that noise model holds the
+energies s^H R^-1 s, so the objective field is the GLRT
+|s^H R^-1 r|^2 / (2 s^H R^-1 s) and its alphas the colored-noise MLEs.
+The direct routes (path_loglik, gram_matrix, joint_path_loglik, the
+replica inner products and so the joint search) take R = I: white noise
+only.
 
 Two evaluation routes exist on purpose.  path_loglik materialises the
 delayed replica and takes inner products directly; objective_field
@@ -26,7 +33,7 @@ _FFT_WORKERS = min(4, os.cpu_count() or 1)
 from . import _kernels
 from .errors import CoincidentDelayError, ObservationWindowError
 from .geometry import AntennaLayout, Grid, Position2D, delay_bin, grid_delays, path_delay
-from .signal import (KERNEL_TAPS, PathObservation, WaveformSet,
+from .signal import (KERNEL_TAPS, NoiseModel, PathObservation, WaveformSet,
                      delayed_replica, interp_taps, steering_vector)
 
 SINGULARITY_CONDITION = 1e8
@@ -112,16 +119,18 @@ class ReplicaCache:
     """Per-scenario precomputation shared by every trial.
 
     Geometry (delays, range bins), interpolation weights and replica
-    energies depend only on (waveforms, layout, grid), so they are built
-    once; per-trial work reduces to one FFT correlation per path plus
-    the tap gather.
+    energies depend only on (waveforms, layout, grid, noise), so they are
+    built once; per-trial work reduces to one FFT correlation per path
+    plus the tap gather.  noise (default white) sets the energies: s^H s
+    for white noise, s^H R^-1 s with clutter.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
-                 grid: Grid):
+                 grid: Grid, noise: NoiseModel = NoiseModel()):
         self.waveforms = waveforms
         self.layout = layout
         self.grid = grid
+        self.noise = noise
         self.delays = grid_delays(grid, layout)          # (P, C)
         self.bins = delay_bin(self.delays, waveforms.tau_c)
         self.out_of_window = (self.delays + waveforms.tau_c > waveforms.T)
@@ -139,7 +148,10 @@ class ReplicaCache:
         self.taps = taps
 
         self.path_tx = np.array([k for _, _, k in layout.paths()])
-        self.energy = self._energies(n0)
+        if self.noise.is_white:
+            self.energy = self._energies(n0)
+        else:
+            self.energy = self._clutter_energies(n0)
         self.energy[self.out_of_window] = 0.0
 
         n_t, p = waveforms.n_samples, waveforms.pulse_samples
@@ -167,12 +179,31 @@ class ReplicaCache:
             energy[pth, c] = np.vdot(rep, rep).real
         return energy
 
+    def _clutter_energies(self, n0):
+        # each in-window replica as its span (taps times the shifted pulse)
+        # through the path's innovations recursion
+        wf = self.waveforms
+        p = wf.pulse_samples
+        shifted = np.zeros((wf.n_waveforms, p + KERNEL_TAPS - 1, KERNEL_TAPS),
+                           dtype=complex)      # [k, j, t] = s_k[j - t]
+        for t in range(KERNEL_TAPS):
+            shifted[:, t: t + p, t] = wf.samples[:, :p]
+        start = n0 + int(self.tap_offsets[0])
+        energy = np.zeros(self.delays.shape)
+        for path, k in enumerate(self.path_tx):
+            cells = np.flatnonzero(~self.out_of_window[path])
+            energy[path, cells] = self.noise.clutter_filter(
+                wf.n_samples, path).energies(
+                    shifted[k] @ self.taps[path, cells].T, start[path, cells])
+        return energy
+
     def inner_products(self, paths, a, b) -> np.ndarray:
         """Replica inner products s~_a^H s~_b of cells a and b on the given
         paths (integer arrays, broadcast together), e.g.
         inner_products(p, cells[:, None], cells[None, :]) is one path's
         Gram matrix of the cells.  Exact while both replicas' kernel
-        support stays inside the window (gram_matrix is the oracle)."""
+        support stays inside the window (gram_matrix is the oracle).
+        Unweighted: white noise only."""
         return self._tap_form(
             paths, self.taps[paths, a], self.taps[paths, b],
             self.gather_base[paths, a] - self.gather_base[paths, b])
@@ -255,7 +286,8 @@ def objective_field(observations, waveforms: WaveformSet,
     """Evaluate every path's log-likelihood on every grid cell and sum.
 
     observations: iterable of whitened PathObservation covering every
-    path exactly once.
+    path exactly once.  Without a cache the noise is taken to be white;
+    under clutter pass the cache built with the noise model.
     """
     if cache is None:
         cache = ReplicaCache(waveforms, layout, grid)

@@ -9,9 +9,21 @@ bound.  The effective correlation duration tau_c equals the pulse width.
 Fractional delays are applied by band-limited interpolation with an
 8-tap Kaiser-windowed sinc kernel; the edge taper keeps the sampled
 pulses within the band the kernel can track.
+
+Noise is white CN(0, sigma^2) per sample, optionally plus AR(1) clutter
+with covariance C[i, j] = power * rho^|i-j|.  The noise covariance is
+then R = sigma^2 I + C, no longer a multiple of the identity, and
+whitening hands the detectors R^-1 r (white noise: r / sigma).  Nothing
+dense is built for it: C^-1 is tridiagonal (Kac-Murdock-Szego), so
+R = L F L^T has a first-order innovations (Kalman) form, set up once per
+(N, sigma^2, rho, power) in O(N), and every draw, solve and replica
+energy is a first-order recursion.  covariance, exp_clutter_cov and
+whitening_matrix are the dense small-N oracle.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +67,16 @@ class WaveformSet:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Per-path thermal noise power plus optional clutter covariance.
+    """Per-path thermal noise power plus optional AR(1) clutter.
 
     sigma_sq may be a scalar (homogeneous paths) or an (n_paths,) array.
-    clutter_cov is a dense Hermitian matrix applied to every path, or
-    None for a white background.
+    clutter is (rho, power), the same for every path: C[i, j] =
+    power * rho^|i-j|, with |rho| < 1 and power > 0; None for a white
+    background.
     """
 
     sigma_sq: float | np.ndarray = 1.0
-    clutter_cov: np.ndarray | None = None
+    clutter: tuple[float, float] | None = None
 
     def path_sigma_sq(self, path: int) -> float:
         if np.isscalar(self.sigma_sq):
@@ -72,18 +85,147 @@ class NoiseModel:
 
     @property
     def is_white(self) -> bool:
-        return self.clutter_cov is None
+        return self.clutter is None
 
     def covariance(self, n_samples: int, path: int = 0) -> np.ndarray:
+        """Dense R = sigma^2 I + C (the small-N oracle)."""
         r = self.path_sigma_sq(path) * np.eye(n_samples, dtype=complex)
-        if self.clutter_cov is not None:
-            c = np.asarray(self.clutter_cov)
-            if c.shape != (n_samples, n_samples):
-                raise NoiseCovarianceError(
-                    f"clutter covariance shape {c.shape} does not match "
-                    f"{n_samples} samples")
-            r = r + c
+        if self.clutter is not None:
+            r = r + exp_clutter_cov(n_samples, *self.clutter)
         return r
+
+    def clutter_filter(self, n_samples: int, path: int = 0) -> ClutterFilter:
+        """The innovations form of the path's R (cached per parameters)."""
+        return _clutter_filter(n_samples, self.path_sigma_sq(path),
+                               *self.clutter)
+
+    def sample(self, n_samples: int, path: int, rng: np.random.Generator,
+               size: tuple = ()) -> np.ndarray:
+        """One path's noise draw, shape size + (n_samples,): white
+        CN(0, sigma^2), then clutter by the AR(1) recursion
+        c[0] = sqrt(power) u[0],
+        c[i] = rho c[i-1] + sqrt(power (1 - rho^2)) u[i]
+        (stationary, so Cov(c) = C exactly)."""
+        shape = tuple(size) + (n_samples,)
+        sigma_sq = self.path_sigma_sq(path)
+        sigma = np.sqrt(sigma_sq)
+        if sigma > 0:
+            out = sigma * (rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+        else:
+            out = np.zeros(shape, dtype=complex)
+        if self.clutter is not None:
+            rho, power = _check_clutter(sigma_sq, *self.clutter)
+            scale = np.full(n_samples, np.sqrt(power * (1.0 - rho * rho)))
+            scale[0] = np.sqrt(power)
+            u = (rng.standard_normal(shape)
+                 + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+            out += _linear_recursion(np.full(n_samples, rho), scale * u)
+        return out
+
+
+def _linear_recursion(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x[..., i] = a[i] x[..., i-1] + b[..., i] along the last axis, with
+    x[..., -1] = 0, by a doubling scan: log2(N) vectorized passes, each
+    composing the affine maps of adjacent runs of length s."""
+    x = np.array(b, dtype=np.result_type(a, b))
+    a = np.array(a, dtype=float)
+    s = 1
+    while s < x.shape[-1]:
+        x[..., s:] += a[s:] * x[..., :-s]
+        a[s:] *= a[:-s]
+        s *= 2
+    return x
+
+
+@dataclass(frozen=True, eq=False)
+class ClutterFilter:
+    """R = sigma^2 I + C for AR(1) clutter as R = L F L^T, L unit lower
+    triangular, F diagonal: the Kalman filter of the AR(1) state seen in
+    white noise.  L^-1 r is the innovation sequence e[i] = r[i] - h[i] of
+    the prediction h[i + 1] = gain[i] h[i] + inject[i] r[i], h[0] = 0,
+    and F = 1 / inv_var its variances; tail[i] is the sum over m >= i of
+    inv_var[m] prod_{i <= j < m} gain[j]^2 (tail[N] = 0).
+    """
+
+    gain: np.ndarray        # (N,) rho sigma^2 / F
+    inject: np.ndarray      # (N,) rho P / F, P the predicted clutter power
+    inv_var: np.ndarray     # (N,) 1 / F
+    tail: np.ndarray        # (N + 1,)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """R^-1 r = L^-T F^-1 L^-1 r along the last axis: one forward and
+        one backward recursion."""
+        x = _linear_recursion(self.gain, self.inject * r)   # x[i] = h[i + 1]
+        v = np.array(r, dtype=complex)
+        v[..., 1:] -= x[..., :-1]
+        v *= self.inv_var
+        # t[i] = v[i] + gain[i] t[i + 1], then
+        # (L^-T v)[i] = v[i] - inject[i] t[i + 1]
+        t = _linear_recursion(self.gain[::-1], v[..., ::-1])[..., ::-1]
+        v[..., :-1] -= self.inject[:-1] * t[..., 1:]
+        return v
+
+    def energies(self, spans: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """s^H R^-1 s = sum_i |e_i|^2 / F_i for M replicas s, replica m
+        equal to spans[:, m] (shape (W, M)) on samples start[m] ..
+        start[m] + W - 1 and zero elsewhere; samples outside [0, N) are
+        dropped.  The recursion runs over each span only: past it s = 0,
+        the prediction decays by gain, and the rest of the sum is |h|^2
+        times the tail."""
+        n = len(self.inv_var)
+        w, m = spans.shape
+        # coefficients padded with W zeros in front and W + 1 behind: a
+        # sample outside [0, N) then adds nothing and leaves h = 0
+        idx = np.clip(np.asarray(start), -w, n) + w
+        at = idx + np.arange(w)[:, None]                # (W, M)
+        gain, inject, inv_var = (
+            np.take(np.concatenate([np.zeros(w), v, np.zeros(w + 1)]), at)
+            for v in (self.gain, self.inject, self.inv_var))
+        h = np.zeros(m, dtype=complex)
+        total = np.zeros(m)
+        for j in range(w):
+            e = spans[j] - h
+            total += (e.real ** 2 + e.imag ** 2) * inv_var[j]
+            h = gain[j] * h + inject[j] * spans[j]
+        tail = np.concatenate([np.zeros(w), self.tail, np.zeros(w)])
+        return total + (h.real ** 2 + h.imag ** 2) * tail[idx + w]
+
+
+def _check_clutter(sigma_sq: float, rho: float, power: float):
+    """(rho, power) as floats, or NoiseCovarianceError unless R is
+    positive definite."""
+    rho, power = float(rho), float(power)
+    if not (math.isfinite(rho) and abs(rho) < 1.0
+            and math.isfinite(power) and power > 0.0
+            and math.isfinite(sigma_sq) and sigma_sq >= 0.0):
+        raise NoiseCovarianceError(
+            f"invalid noise covariance: AR(1) clutter needs |rho| < 1 and "
+            f"power > 0 (got rho={rho!r}, power={power!r}) and a "
+            f"non-negative noise power (got {sigma_sq!r})")
+    return rho, power
+
+
+@functools.lru_cache(maxsize=8)
+def _clutter_filter(n: int, sigma_sq: float, rho: float,
+                    power: float) -> ClutterFilter:
+    rho, power = _check_clutter(sigma_sq, rho, power)
+    innov = power * (1.0 - rho * rho)
+    pred = np.empty(n)                 # predicted clutter power P[i]
+    p = power
+    for i in range(n):
+        pred[i] = p
+        nxt = rho * rho * p * sigma_sq / (p + sigma_sq) + innov
+        if nxt == p:                   # a fixed point of the Riccati map:
+            pred[i + 1:] = p           # every later P[i] equals it
+            break
+        p = nxt
+    var = pred + sigma_sq
+    gain = rho * sigma_sq / var
+    tail = np.zeros(n + 1)
+    tail[:n] = _linear_recursion(gain[::-1] ** 2, 1.0 / var[::-1])[::-1]
+    return ClutterFilter(gain=gain, inject=rho * pred / var,
+                         inv_var=1.0 / var, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -257,24 +399,14 @@ def synthesize_observation(scene: Scene, waveforms: WaveformSet,
         start, win = _replica_window(
             waveforms, k, path_delay(scene.layout, t.position, l, k))
         r[start: start + len(win)] += alpha * win
-    sigma = np.sqrt(noise.path_sigma_sq(path))
-    if sigma > 0:
-        n = waveforms.n_samples
-        r += sigma * (rng.standard_normal(n)
-                      + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    if noise.clutter_cov is not None:
-        n = waveforms.n_samples
-        c = np.asarray(noise.clutter_cov)
-        vals, vecs = np.linalg.eigh(c)
-        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-        z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        r += root @ z
+    r += noise.sample(waveforms.n_samples, path, rng)
     return PathObservation(path=path, r=r, whitened=False)
 
 
 def whitening_matrix(noise: NoiseModel, n_samples: int,
                      path: int = 0) -> np.ndarray:
-    """Hermitian inverse square root of the noise-plus-clutter covariance."""
+    """Hermitian inverse square root of the noise-plus-clutter covariance
+    (dense; the small-N oracle)."""
     r = noise.covariance(n_samples, path)
     if not np.allclose(r, r.conj().T):
         raise NoiseCovarianceError("invalid noise covariance: not Hermitian")
@@ -286,7 +418,11 @@ def whitening_matrix(noise: NoiseModel, n_samples: int,
 
 
 def whiten(obs: PathObservation, noise: NoiseModel) -> PathObservation:
-    """Transform to unit-covariance noise; downstream math then uses R = I."""
+    """Prepare an observation for the matched filter.  White noise: r /
+    sigma, unit-covariance noise, matched with the plain replica energy
+    s^H s.  Clutter: R^-1 r, matched with s^H R^-1 s (ReplicaCache,
+    reference_energies).  Either way |s^H r|^2 / energy is the GLRT
+    statistic |s^H R^-1 r|^2 / (s^H R^-1 s)."""
     if obs.whitened:
         raise ValueError("observation already whitened")
     if noise.is_white:
@@ -296,24 +432,24 @@ def whiten(obs: PathObservation, noise: NoiseModel) -> PathObservation:
                 "invalid noise covariance: non-positive noise power")
         return PathObservation(path=obs.path, r=obs.r / np.sqrt(sigma_sq),
                                whitened=True)
-    w = whitening_matrix(noise, len(obs.r), obs.path)
-    return PathObservation(path=obs.path, r=w @ obs.r, whitened=True)
+    r = noise.clutter_filter(len(obs.r), obs.path).solve(obs.r)
+    return PathObservation(path=obs.path, r=r, whitened=True)
 
 
 def reference_energies(waveforms: WaveformSet, layout: AntennaLayout,
                        noise: NoiseModel, position: Position2D) -> np.ndarray:
-    """Post-whitening replica energy s~^H R^-1 s~ of one location on every
-    path, shape (M, N)."""
+    """Replica energy s^H R^-1 s of one location on every path, shape
+    (M, N)."""
     out = np.empty((layout.n_rx, layout.n_tx))
     for p, l, k in layout.paths():
-        sv = steering_vector(waveforms, p, position, layout)
         if noise.is_white:
-            e = sv.energy() / noise.path_sigma_sq(p)
+            sv = steering_vector(waveforms, p, position, layout)
+            out[l, k] = sv.energy() / noise.path_sigma_sq(p)
         else:
-            w = whitening_matrix(noise, waveforms.n_samples, p)
-            ws = w @ sv.samples
-            e = float(np.vdot(ws, ws).real)
-        out[l, k] = e
+            start, win = _replica_window(
+                waveforms, k, path_delay(layout, position, l, k))
+            out[l, k] = noise.clutter_filter(waveforms.n_samples, p).energies(
+                win[:, None], np.array([start]))[0]
     return out
 
 

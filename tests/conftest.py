@@ -122,6 +122,22 @@ class TwoAntennaSetup(SmallSetup):
         return pairs
 
 
+class TinySetup(SmallSetup):
+    """N = 64 samples, one transceiver (one path), 14x8 grid of 50 m
+    cells: small enough for the dense noise covariance oracle.  The far
+    cells leave the window, and some in-window replicas are clipped by
+    its end."""
+
+    def __init__(self):
+        self.layout = AntennaLayout.transceivers([(0.0, 0.0)])
+        self.region = Rect(100.0, 800.0, 0.0, 400.0)
+        self.grid = Grid(self.region, 50.0)
+        # Ts = 0.1 us, pulse 10 samples
+        self.waveforms = build_waveform_set(1, 6.3e-6, 64, 1.0e-6)
+        self.noise = NoiseModel(sigma_sq=1.0)
+        self.cache = ReplicaCache(self.waveforms, self.layout, self.grid)
+
+
 @pytest.fixture(scope="session")
 def small():
     return SmallSetup()
@@ -135,6 +151,11 @@ def coarse():
 @pytest.fixture(scope="session")
 def two_antenna():
     return TwoAntennaSetup()
+
+
+@pytest.fixture(scope="session")
+def tiny():
+    return TinySetup()
 
 
 @pytest.fixture(scope="session")

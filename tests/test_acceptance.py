@@ -20,8 +20,8 @@ from mimoloc.harness import (RunContext, h0_alarm_rate, load_scenario,
 from mimoloc.likelihood import (GramMatrix, alpha_mle_joint, gram_matrix,
                                 objective_field)
 from mimoloc.signal import (NoiseModel, PathObservation, build_waveform_set,
-                            delayed_replica, exp_clutter_cov,
-                            synthesize_observation, whiten, whitening_matrix)
+                            delayed_replica, synthesize_observation, whiten,
+                            whitening_matrix)
 
 from conftest import SmallSetup, config_path
 
@@ -351,18 +351,16 @@ class TestCriterion8:
         rate = h0_alarm_rate(ctx, thresholds, 1000)
         rate_ok = abs(rate - cfg.pfa) <= 0.03
 
+        # noise plus AR(1) clutter as synthesis draws it, whitened by the
+        # dense oracle R^-1/2: sample covariance ~ identity
         n = 16
-        noise = NoiseModel(sigma_sq=1.0,
-                           clutter_cov=exp_clutter_cov(n, 0.6, 1.5))
+        noise = NoiseModel(sigma_sq=1.0, clutter=(0.6, 1.5))
         w = whitening_matrix(noise, n)
-        root = np.linalg.cholesky(noise.covariance(n))
         rng = np.random.default_rng(88)
         draws = 100_000
         cov = np.zeros((n, n), dtype=complex)
         for _ in range(10):
-            z = (rng.standard_normal((draws // 10, n))
-                 + 1j * rng.standard_normal((draws // 10, n))) / np.sqrt(2)
-            s = (w @ (root @ z.T)).T
+            s = noise.sample(n, 0, rng, size=(draws // 10,)) @ w.T
             cov += s.conj().T @ s
         cov /= draws
         cov_err = np.linalg.norm(cov - np.eye(n)) / np.linalg.norm(np.eye(n))

@@ -12,9 +12,9 @@ from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 peak_quantile, sic_modified_term, sic_run,
                                 sic_threshold, ssr_run)
 from mimoloc.geometry import Grid, Rect
-from mimoloc.likelihood import (ObjectiveField, alpha_mle_joint,
-                                gram_matrix, joint_path_loglik,
-                                objective_field)
+from mimoloc.likelihood import (ObjectiveField, ReplicaCache,
+                                alpha_mle_joint, gram_matrix,
+                                joint_path_loglik, objective_field)
 from mimoloc.signal import (NoiseModel, PathObservation,
                             scale_alphas_for_snr, steering_vector,
                             synthesize_observation, whiten)
@@ -90,6 +90,30 @@ class TestCalibration:
         lam1 = peak_quantile(peaks, 0.1)
         lam2 = peak_quantile(2.0 * peaks, 0.1)
         assert lam2 == pytest.approx(2.0 * lam1, rel=1e-9)
+
+    def test_clutter_h0_field_is_half_chi2(self, two_antenna):
+        # under H0 each in-window (path, cell) GLRT value is |z|^2 / 2,
+        # z ~ CN(0, 1) (mean 1/2, P(> x) = exp(-2x)), as with white noise;
+        # calibration without a cache builds the one for the noise model
+        s = two_antenna
+        noise = NoiseModel(sigma_sq=0.8, clutter=(0.9, 1.0))
+        cache = ReplicaCache(s.waveforms, s.layout, s.grid, noise)
+        peaks = h0_objective_peaks(s.waveforms, s.layout, s.grid, noise, 4,
+                                   9)
+        assert np.array_equal(peaks, h0_objective_peaks(
+            s.waveforms, s.layout, s.grid, noise, 4, 9, cache=cache))
+        values = []
+        for t in range(40):
+            obs = [whiten(synthesize_observation(
+                       s.scene([]), s.waveforms, noise, p,
+                       substream(5, TAG_SCENE, t, p)), noise)
+                   for p in range(s.layout.n_paths)]
+            fld = objective_field(obs, s.waveforms, s.layout, s.grid,
+                                  cache=cache)
+            values.append(fld.per_path_ll[~cache.out_of_window])
+        values = np.concatenate(values)
+        assert np.mean(values) == pytest.approx(0.5, abs=0.04)
+        assert np.mean(values > 1.0) == pytest.approx(np.exp(-2.0), abs=0.03)
 
     def test_weights_default_to_ones(self, thresholds, small):
         w = thresholds.weights(small.layout.n_paths)
@@ -525,6 +549,20 @@ class TestJointSearch:
         with pytest.raises(ValueError, match="n_targets"):
             joint_search([], coarse.waveforms, coarse.layout, coarse.grid,
                          0, 0.0)
+
+    def test_clutter_cache_refused(self, coarse, monkeypatch):
+        # the Gram's off-diagonal products are not R^-1 weighted, so a
+        # cache built with clutter is refused before the field is built
+        cache = ReplicaCache(coarse.waveforms, coarse.layout, coarse.grid,
+                             NoiseModel(sigma_sq=1.0, clutter=(0.9, 1.0)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("joint search built a field under clutter")
+        monkeypatch.setattr(estimators, "objective_field", never)
+        for n_targets in (1, 2):
+            with pytest.raises(ValueError, match="white noise"):
+                joint_search([], coarse.waveforms, coarse.layout,
+                             coarse.grid, n_targets, 0.0, cache=cache)
 
     def test_single_target_has_no_tuple_budget(self, coarse, monkeypatch):
         # one target is the field argmax and enumerates no tuples, so it

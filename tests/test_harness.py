@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +41,9 @@ MINI = {
     "single_target_benchmark": False,
     "output_dir": "out/mini",
 }
+
+
+CLUTTER = {"sigma_sq": 1.0, "clutter": {"rho": 0.9, "power": 1.0}}
 
 
 def write_mini(tmp_path, **overrides):
@@ -145,10 +150,23 @@ class TestLoadScenario:
         ("grid_cell_m", 0),
         ("calibration_trials", 50),
         ("calibration_trials", True),
+        ("noise", {"sigma_sq": 1.0, "clutter": {"rho": 1.5, "power": 1.0}}),
+        ("noise", {"sigma_sq": 1.0, "clutter": {"rho": 0.5, "power": -1.0}}),
+        ("noise", {"sigma_sq": 1.0,
+                   "clutter": {"rho": float("nan"), "power": 1.0}}),
+        ("noise", {"sigma_sq": 1.0, "clutter": {"rho": "x", "power": 1.0}}),
+        ("noise", {"sigma_sq": 1.0,
+                   "clutter": {"rho": 0.5, "power": float("inf")}}),
+        ("noise", {"sigma_sq": 1.0, "clutter": {"rho": 0.5, "power": True}}),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, key, value):
         path = write_mini(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=key):
+            load_scenario(path)
+
+    def test_joint_with_clutter_fails_at_load(self, tmp_path):
+        path = write_mini(tmp_path, algorithm="joint", noise=CLUTTER)
+        with pytest.raises(ConfigError, match="white noise"):
             load_scenario(path)
 
     def test_missing_file(self):
@@ -232,6 +250,81 @@ class TestRunTrial:
         cfg, ctx, thr = mini_ctx
         with pytest.raises(ValueError):
             run_trial(ctx, 10.0, 0, thr, algorithm="joint")
+
+
+class TestClutter:
+    def test_sic_finds_both_targets(self, mini_ctx, tmp_path):
+        # the GLRT has the white field's H0 law, so the white threshold
+        # applies
+        _, _, thr = mini_ctx
+        ctx = RunContext(load_scenario(write_mini(
+            tmp_path, noise=CLUTTER, algorithm="sic")))
+        assert not ctx.noise.is_white
+        for trial in range(3):
+            report, assignment, _ = run_trial(ctx, 20.0, trial, thr)
+            assert sorted(a for a in assignment if a is not None) == [0, 1]
+
+    def test_scenario_b_scale_without_dense_algebra(self, tmp_path):
+        # scenario_b geometry (N = 39 681, 25 paths, 10 000 cells) under
+        # AR(1) clutter: set-up and one SIC trial in seconds, without
+        # importing a dense solver
+        raw = json.loads(open(config_path("scenario_b.cfg")).read())
+        raw["noise"] = CLUTTER
+        path = tmp_path / "clutter_b.cfg"
+        path.write_text(json.dumps(raw))
+        script = (
+            "import json, sys, time\n"
+            "from mimoloc.estimators import ThresholdConfig\n"
+            "from mimoloc.harness import (RunContext, load_scenario,\n"
+            "                             run_trial)\n"
+            "t0 = time.perf_counter()\n"
+            f"ctx = RunContext(load_scenario({str(path)!r}))\n"
+            "thr = ThresholdConfig(lambda_prime=30.0, pfa=0.1)\n"
+            "report, assignment, _ = run_trial(ctx, 15.0, 0, thr)\n"
+            "print(json.dumps({'seconds': time.perf_counter() - t0,\n"
+            "    'found': [a for a in assignment if a is not None],\n"
+            "    'dense': sorted(m for m in sys.modules if m.startswith(\n"
+            "        ('scipy.linalg', 'scipy.signal')))}))\n")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out = json.loads(done.stdout.strip().splitlines()[-1])
+        assert out["dense"] == []
+        assert 0 in out["found"]
+        assert out["seconds"] < 30.0
+
+
+class TestTrialCounts:
+    @pytest.mark.parametrize("trials", [0, -3, 2.5, "2"])
+    def test_sweep_rejects_bad_count(self, mini_ctx, tmp_path, trials):
+        cfg, ctx, thr = mini_ctx
+        with pytest.raises(ConfigError, match="trials"):
+            run_sweep(cfg, out_dir=str(tmp_path / "out"), thresholds=thr,
+                      trials=trials, ctx=ctx)
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_default_and_explicit_count(self, mini_ctx, tmp_path):
+        cfg, ctx, thr = mini_ctx
+        default = run_sweep(cfg, out_dir=str(tmp_path / "a"), thresholds=thr,
+                            ctx=ctx)
+        assert {r.trials for r in default} == {cfg.trials}
+        one = run_sweep(cfg, out_dir=str(tmp_path / "b"), thresholds=thr,
+                        trials=1, ctx=ctx)
+        assert {r.trials for r in one} == {1}
+
+    @pytest.mark.parametrize("trials", [0, -3, 99, 150.5])
+    def test_calibrate_rejects_bad_count(self, mini_ctx, trials):
+        _, ctx, _ = mini_ctx
+        with pytest.raises(ConfigError, match="calibration trials"):
+            ctx.calibrate(trials)
+
+    def test_calibrate_default_count(self, mini_ctx):
+        cfg, ctx, thr = mini_ctx
+        assert thr.trials == cfg.calibration_trials
 
 
 class TestSweep:
@@ -391,6 +484,18 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli.main([argv[0], path] + argv[1:]) == 1
         assert "config error" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["mini.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--snr", "10", "--trial", "0", "--algo", "joint"],
+        ["sweep", "--algo", "joint"],
+    ])
+    def test_joint_on_clutter_fails_at_load(self, tmp_path, capsys,
+                                            monkeypatch, argv):
+        path = write_mini(tmp_path, noise=CLUTTER)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([argv[0], path] + argv[1:]) == 1
+        assert "white noise" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["mini.cfg"]
 
     def test_trials_override_sets_trial_count(self, tmp_path, capsys):

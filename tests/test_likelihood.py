@@ -248,6 +248,54 @@ class TestReplicaInnerProducts:
                                   coarse.cache.energy[p, inside])
 
 
+class TestClutterGLRT:
+    """Under AR(1) clutter the cache's energies are s^H R^-1 s and the
+    field is the GLRT |s^H R^-1 r|^2 / (2 s^H R^-1 s); dense oracle."""
+
+    @staticmethod
+    def dense_terms(setup, path, r_inv, y):
+        """(cells, s^H R^-1 s, s^H y) over the path's in-window cells."""
+        k = int(setup.cache.path_tx[path])
+        cells = np.flatnonzero(~setup.cache.out_of_window[path])
+        reps = [delayed_replica(setup.waveforms, k,
+                                float(setup.cache.delays[path, c]))
+                for c in cells]
+        return (cells, np.array([np.vdot(s, r_inv @ s).real for s in reps]),
+                np.array([np.vdot(s, y) for s in reps]))
+
+    @pytest.mark.parametrize("rho", [0.0, 0.6, 0.95])
+    def test_energies_match_dense(self, tiny, rho):
+        noise = NoiseModel(sigma_sq=0.7, clutter=(rho, 1.3))
+        cache = ReplicaCache(tiny.waveforms, tiny.layout, tiny.grid, noise)
+        r_inv = np.linalg.inv(noise.covariance(tiny.waveforms.n_samples))
+        cells, energy, _ = self.dense_terms(tiny, 0, r_inv, np.zeros(64))
+        np.testing.assert_allclose(cache.energy[0, cells], energy,
+                                   rtol=1e-10)
+        assert np.all(cache.energy[cache.out_of_window] == 0.0)
+
+    def test_field_is_glrt(self, two_antenna):
+        setup = two_antenna
+        noise = NoiseModel(sigma_sq=0.8, clutter=(0.9, 1.0))
+        cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
+        scene = setup.scene([(4000.0, 5000.0), (9000.0, 3000.0)])
+        raw = [synthesize_observation(scene, setup.waveforms, noise, p,
+                                      np.random.default_rng(10 + p))
+               for p in range(setup.layout.n_paths)]
+        fld = objective_field([whiten(o, noise) for o in raw],
+                              setup.waveforms, setup.layout, setup.grid,
+                              cache=cache)
+        r_inv = np.linalg.inv(noise.covariance(setup.waveforms.n_samples))
+        for p, obs in enumerate(raw):
+            cells, energy, cross = self.dense_terms(setup, p, r_inv,
+                                                    r_inv @ obs.r)
+            glrt = 0.5 * np.abs(cross) ** 2 / energy
+            np.testing.assert_allclose(fld.per_path_ll[p, cells], glrt,
+                                       rtol=1e-8, atol=1e-10 * glrt.max())
+            np.testing.assert_allclose(fld.cross[p, cells], cross,
+                                       rtol=1e-8,
+                                       atol=1e-10 * np.abs(cross).max())
+
+
 class TestGram:
     def test_single_location(self, small):
         theta = small.grid.cell_center(50)

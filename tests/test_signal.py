@@ -189,13 +189,13 @@ class TestWhiten:
         assert np.allclose(out.r, r / 2.0)
 
     def test_2x2_eigendecomposition_oracle(self):
-        # R = [[2, 1], [1, 2]]: sigma^2 = 1 plus constant-1 clutter block
-        clutter = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        noise = NoiseModel(sigma_sq=1.0, clutter_cov=clutter)
+        # R = [[3, 1], [1, 3]]: sigma^2 = 1 plus AR(1) clutter, power 2,
+        # rho 0.5; R = V diag(4, 2) V^T with V = [[1, 1], [1, -1]] / sqrt(2)
+        noise = NoiseModel(sigma_sq=1.0, clutter=(0.5, 2.0))
         out = whiten(self.obs([1.0, 0.0]), noise)
-        # frozen from an independent eigendecomposition square root
-        assert out.r[0] == pytest.approx(0.7886751345948129, rel=1e-12)
-        assert out.r[1] == pytest.approx(-0.21132486540518713, rel=1e-9)
+        # R^-1 e_0 = V diag(1/4, 1/2) V^T e_0
+        assert out.r[0] == pytest.approx(0.375, rel=1e-12)
+        assert out.r[1] == pytest.approx(-0.125, rel=1e-12)
 
     def test_double_whitening_rejected(self):
         out = whiten(self.obs([1.0]), NoiseModel(1.0))
@@ -203,25 +203,97 @@ class TestWhiten:
             whiten(out, NoiseModel(1.0))
 
     def test_non_positive_definite_rejected(self):
-        bad = NoiseModel(sigma_sq=1.0,
-                         clutter_cov=np.array([[-3.0, 0.0], [0.0, -3.0]],
-                                              dtype=complex))
-        with pytest.raises(NoiseCovarianceError):
-            whiten(self.obs([1.0, 1.0]), bad)
+        for clutter in [(0.5, -3.0), (1.5, 1.0), (-1.0, 1.0), (np.nan, 1.0)]:
+            bad = NoiseModel(sigma_sq=1.0, clutter=clutter)
+            with pytest.raises(NoiseCovarianceError):
+                whiten(self.obs([1.0, 1.0]), bad)
+            with pytest.raises(NoiseCovarianceError):
+                bad.sample(2, 0, np.random.default_rng(0))
 
     def test_whitened_noise_covariance_near_identity(self):
-        # correlated clutter, then whitening: sample covariance ~ identity
+        # correlated clutter drawn by the AR(1) recursion, then the dense
+        # whitening oracle: sample covariance ~ identity; and whitening to
+        # R^-1 n: E[(R^-1 n) n^H] ~ identity
         n, draws = 8, 20000
-        noise = NoiseModel(sigma_sq=1.0, clutter_cov=exp_clutter_cov(n, 0.7, 2.0))
-        w = whitening_matrix(noise, n)
-        rng = np.random.default_rng(7)
-        cov_root = np.linalg.cholesky(noise.covariance(n))
-        z = (rng.standard_normal((draws, n))
-             + 1j * rng.standard_normal((draws, n))) / np.sqrt(2)
-        samples = (w @ (cov_root @ z.T)).T
-        cov = samples.conj().T @ samples / draws
+        noise = NoiseModel(sigma_sq=1.0, clutter=(0.7, 2.0))
+        samples = noise.sample(n, 0, np.random.default_rng(7), size=(draws,))
+        white = samples @ whitening_matrix(noise, n).T
+        cov = white.conj().T @ white / draws
         err = np.linalg.norm(cov - np.eye(n)) / np.linalg.norm(np.eye(n))
         assert err <= 0.05
+        solved = noise.clutter_filter(n).solve(samples)
+        cross = solved.T @ samples.conj() / draws
+        err = np.linalg.norm(cross - np.eye(n)) / np.linalg.norm(np.eye(n))
+        assert err <= 0.05
+
+
+class TestClutterOracle:
+    """The O(N) AR(1) routes against the dense covariance at N = 64."""
+
+    RHOS = [0.0, 0.6, 0.95]
+
+    @staticmethod
+    def noise(rho):
+        return NoiseModel(sigma_sq=0.7, clutter=(rho, 1.3))
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_whiten_is_dense_solve(self, rho):
+        n = 64
+        noise = self.noise(rho)
+        rng = np.random.default_rng(3)
+        r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        out = whiten(PathObservation(path=0, r=r), noise)
+        ref = np.linalg.solve(noise.covariance(n), r)
+        assert out.whitened
+        assert np.linalg.norm(out.r - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_energies_clip_to_window(self, rho):
+        # spans reaching past either end of the window, or wholly outside
+        n, w = 64, 10
+        noise = self.noise(rho)
+        rng = np.random.default_rng(4)
+        start = np.array([-15, -4, 0, 5, 27, 54, 60, 63, 70])
+        win = (rng.standard_normal((len(start), w))
+               + 1j * rng.standard_normal((len(start), w)))
+        got = noise.clutter_filter(n).energies(win.T, start)
+        r_inv = np.linalg.inv(noise.covariance(n))
+        pad = 2 * w
+        for m in range(len(start)):
+            s = np.zeros(n + 2 * pad, dtype=complex)
+            s[pad + start[m]: pad + start[m] + w] = win[m]
+            s = s[pad: pad + n]
+            assert got[m] == pytest.approx(np.vdot(s, r_inv @ s).real,
+                                           rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_reference_energies_are_dense_quadratic_form(self, tiny, rho):
+        noise = self.noise(rho)
+        r_inv = np.linalg.inv(noise.covariance(tiny.waveforms.n_samples))
+        for c in np.flatnonzero(~tiny.cache.out_of_window[0]):
+            pos = tiny.grid.cell_center(int(c))
+            s = steering_vector(tiny.waveforms, 0, pos, tiny.layout).samples
+            got = reference_energies(tiny.waveforms, tiny.layout, noise, pos)
+            assert got[0, 0] == pytest.approx(np.vdot(s, r_inv @ s).real,
+                                              rel=1e-10)
+
+    @pytest.mark.parametrize("rho", RHOS)
+    def test_ar1_draw_covariance(self, rho):
+        n, draws = 16, 40000
+        noise = NoiseModel(sigma_sq=0.0, clutter=(rho, 1.3))
+        c = noise.sample(n, 0, np.random.default_rng(5), size=(draws,))
+        cov = c.T @ c.conj() / draws
+        ref = exp_clutter_cov(n, rho, 1.3)
+        assert np.linalg.norm(cov - ref) <= 0.05 * np.linalg.norm(ref)
+
+    def test_white_noise_draw_unchanged(self):
+        # white noise alone draws exactly what it always did
+        noise = NoiseModel(sigma_sq=2.0)
+        got = noise.sample(32, 0, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        ref = np.sqrt(2.0) * (rng.standard_normal(32)
+                              + 1j * rng.standard_normal(32)) / np.sqrt(2)
+        assert np.array_equal(got, ref)
 
 
 class TestScaleAlphas:
