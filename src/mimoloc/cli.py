@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import ThresholdConfig, sic_modified_term
-from .harness import (RunContext, check_int, check_white_for_joint,
-                      load_scenario, run_sweep, run_trial,
-                      trial_observations)
+from .harness import (RunContext, check_int, check_number,
+                      check_white_for_joint, load_scenario, run_sweep,
+                      run_trial, trial_observations)
 from .likelihood import (COMBINED_FIELD_ID, objective_field,
                          save_gridmap_binary, save_gridmap_csv)
 
@@ -92,9 +92,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     """The scenario, with --seed/--trials/--algo checked as its own fields
-    are."""
+    are, --snr as a finite number and --trial/--after-cancel as counts
+    (>= 0)."""
     cfg = load_scenario(args.config)
     check_white_for_joint(getattr(args, "algo", None), cfg.clutter, "--algo")
+    if getattr(args, "snr", None) is not None:
+        check_number(args.snr, "--snr")
+    for key in ("trial", "after_cancel"):
+        if getattr(args, key, None) is not None:
+            check_int(getattr(args, key), "--" + key.replace("_", "-"), 0)
     overrides = {key: check_int(getattr(args, key), f"--{key}", low)
                  for key, low in (("seed", 0), ("trials", 1))
                  if getattr(args, key, None) is not None}
@@ -146,8 +152,7 @@ def _cmd_gridmap(args) -> int:
     cfg = _load(args)
     ctx = RunContext(cfg)
     observations, _ = trial_observations(ctx, args.snr, args.trial)
-    fld = objective_field(observations, ctx.waveforms, ctx.layout, ctx.grid,
-                          cache=ctx.cache)
+    fld = objective_field(observations, ctx.cache)
     # optionally subtract the first G argmax targets the way SIC would
     for _ in range(args.after_cancel):
         sic_modified_term(fld, fld.argmax_cell())

@@ -143,7 +143,7 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
                    empty, waveforms, noise, p, substream(seed, tag, t, p)),
                    noise)
                for p in range(layout.n_paths)]
-        fld = objective_field(obs, waveforms, layout, grid, cache=cache)
+        fld = objective_field(obs, cache)
         peaks[t] = fld.combined.max()
     return peaks
 
@@ -256,12 +256,11 @@ def sic_run(fld: ObjectiveField, thresholds: ThresholdConfig,
 
 # --- joint exhaustive search ----------------------------------------------
 
-def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
-                 grid: Grid, n_targets: int, threshold: float,
-                 cache: ReplicaCache | None = None) -> DetectionReport:
+def joint_search(observations, cache: ReplicaCache, n_targets: int,
+                 threshold: float) -> DetectionReport:
     """Exhaustive maximization of the joint concentrated log-likelihood
-    over unordered tuples of grid cells (the objective is symmetric under
-    permutation, so ordered tuples add nothing).
+    over unordered tuples of the cache's grid cells (the objective is
+    symmetric under permutation, so ordered tuples add nothing).
 
     Only the tuples of gap_ok_tuples are scored.  For G = n_targets >= 2,
     a search whose enumeration may hold more than JOINT_MAX_TUPLES tuples
@@ -273,18 +272,17 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
     """
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
-    largest = math.comb(grid.n_cells, min(n_targets, grid.n_cells // 2))
+    n_cells = cache.grid.n_cells
+    largest = math.comb(n_cells, min(n_targets, n_cells // 2))
     if n_targets > 1 and largest > JOINT_MAX_TUPLES:
         raise ValueError(
-            f"joint search for {n_targets} targets on {grid.n_cells} cells "
+            f"joint search for {n_targets} targets on {n_cells} cells "
             f"may hold {largest} cell tuples at once, over its budget of "
             f"{JOINT_MAX_TUPLES}; use fewer targets or a coarser grid")
-    if cache is None:
-        cache = ReplicaCache(waveforms, layout, grid)
-    elif not cache.noise.is_white:
+    if not cache.noise.is_white:
         raise ValueError("joint search needs white noise; this cache was "
                          "built with clutter")
-    fld = objective_field(observations, waveforms, layout, grid, cache=cache)
+    fld = objective_field(observations, cache)
     report = DetectionReport(algorithm="joint", lambda_prime=threshold)
 
     if n_targets == 1:
@@ -297,7 +295,7 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
         # path-outer, chunk-inner: one path's Gram at a time
         totals = np.zeros(len(tuples))
         for p in range(fld.n_paths):
-            gram = _path_gram(fld, cache, p, np.arange(grid.n_cells))
+            gram = _path_gram(cache, p, np.arange(n_cells))
             for lo in range(0, len(tuples), JOINT_CHUNK):
                 totals[lo: lo + JOINT_CHUNK] += joint_path_statistic(
                     gram, fld.cross[p], tuples[lo: lo + JOINT_CHUNK])[0]
@@ -313,7 +311,7 @@ def joint_search(observations, waveforms: WaveformSet, layout: AntennaLayout,
     else:
         order = np.arange(n_targets)[None, :]
         alphas = np.stack([
-            joint_path_statistic(_path_gram(fld, cache, p, cells),
+            joint_path_statistic(_path_gram(cache, p, cells),
                                  fld.cross[p, cells], order, alphas=True)[1][0]
             for p in range(fld.n_paths)])
     for i, cell in enumerate(cells.tolist(), start=1):
@@ -347,7 +345,7 @@ def gap_ok_tuples(cache: ReplicaCache, n_targets: int) -> np.ndarray:
     return tuples
 
 
-def _path_gram(fld: ObjectiveField, cache: ReplicaCache, path: int,
+def _path_gram(cache: ReplicaCache, path: int,
                cells: np.ndarray) -> np.ndarray:
     """One path's replica Gram matrix of the cells, energies on the
     diagonal; built in row blocks of ~JOINT_CHUNK entries, which bounds the
@@ -358,7 +356,7 @@ def _path_gram(fld: ObjectiveField, cache: ReplicaCache, path: int,
     for lo in range(0, n, step):
         gram[lo: lo + step] = cache.inner_products(
             path, cells[lo: lo + step, None], cells[None, :])
-    gram[np.diag_indices(n)] = fld.energy[path, cells]
+    gram[np.diag_indices(n)] = cache.energy[path, cells]
     return gram
 
 

@@ -120,11 +120,18 @@ def check_int(value, where: str, minimum: int) -> int:
     return int(value)
 
 
-def check_number(value, where: str) -> float:
-    """A JSON number (not a bool)."""
+def check_number(value, where: str, positive: bool = False) -> float:
+    """A finite JSON number (not a bool); above 0 when positive."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:             # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number) or (positive and not number > 0.0):
+        kind = "a finite positive" if positive else "a finite"
+        raise ConfigError(f"{where} must be {kind} number, got {value!r}")
+    return number
 
 
 def check_white_for_joint(algorithm: str, clutter, where: str) -> None:
@@ -137,10 +144,10 @@ def check_white_for_joint(algorithm: str, clutter, where: str) -> None:
 def _positions_km(entries, where: str):
     out = []
     for i, e in enumerate(entries):
-        if (not isinstance(e, (list, tuple)) or len(e) != 2
-                or not all(isinstance(v, (int, float)) for v in e)):
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ConfigError(f"{where}[{i}]: expected [x_km, y_km]")
-        out.append(Position2D(float(e[0]) * 1e3, float(e[1]) * 1e3))
+        out.append(Position2D(*(check_number(v, f"{where}[{i}]") * 1e3
+                                for v in e)))
     return out
 
 
@@ -182,26 +189,38 @@ def load_scenario(path) -> ScenarioConfig:
     if not (isinstance(reg, list) and len(reg) == 4):
         raise ConfigError(f"{path}: region_km must be "
                           "[xmin, xmax, ymin, ymax]")
-    region = Rect(*(float(v) * 1e3 for v in reg))
+    xmin, xmax, ymin, ymax = (check_number(v, f"{path}: region_km") * 1e3
+                              for v in reg)
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigError(f"{path}: region_km must have xmin < xmax and "
+                          "ymin < ymax")
+    region = Rect(xmin, xmax, ymin, ymax)
 
     targets = []
     proportions = []
     for i, t in enumerate(_require(raw, "targets", path)):
         where = f"{path}: targets[{i}]"
         _reject_unknown(t, {"x_km", "y_km", "proportion"}, where)
-        p = Position2D(float(_require(t, "x_km", where)) * 1e3,
-                       float(_require(t, "y_km", where)) * 1e3)
+        p = Position2D(*(check_number(_require(t, key, where),
+                                      f"{where}: {key}") * 1e3
+                         for key in ("x_km", "y_km")))
         if not region.contains(p):
             raise ConfigError(f"{where}: target outside region")
-        prop = float(_require(t, "proportion", where))
-        if prop <= 0:
-            raise ConfigError(f"{where}: proportion must be positive")
+        prop = check_number(_require(t, "proportion", where),
+                            f"{where}: proportion", positive=True)
         targets.append(p)
         proportions.append(prop)
 
     wf = _require(raw, "waveforms", path)
     _reject_unknown(wf, {"window_s", "samples", "pulse_width_s"},
                     f"{path}: waveforms")
+    window, pulse_width = (
+        check_number(_require(wf, key, "waveforms"),
+                     f"{path}: waveforms.{key}", positive=True)
+        for key in ("window_s", "pulse_width_s"))
+    if pulse_width > window:
+        raise ConfigError(f"{path}: waveforms.pulse_width_s must not exceed "
+                          "window_s")
     noise_raw = _require(raw, "noise", path)
     _reject_unknown(noise_raw, {"sigma_sq", "clutter"}, f"{path}: noise")
     clutter = None
@@ -209,21 +228,20 @@ def load_scenario(path) -> ScenarioConfig:
         cl = noise_raw["clutter"]
         _reject_unknown(cl, {"rho", "power"}, f"{path}: noise.clutter")
         rho, power = (check_number(_require(cl, key, "noise.clutter"),
-                                   f"{path}: noise.clutter.{key}")
+                                   f"{path}: noise.clutter.{key}",
+                                   positive=key == "power")
                       for key in ("rho", "power"))
         if not abs(rho) < 1.0:
-            raise ConfigError(f"{path}: noise.clutter.rho must be finite "
-                              f"with |rho| < 1, got {rho!r}")
-        if not (math.isfinite(power) and power > 0.0):
-            raise ConfigError(f"{path}: noise.clutter.power must be finite "
-                              f"and positive, got {power!r}")
+            raise ConfigError(f"{path}: noise.clutter.rho must have "
+                              f"|rho| < 1, got {rho!r}")
         clutter = (rho, power)
 
-    snr = [float(v) for v in _require(raw, "snr_db", path)]
-    if not snr:
-        raise ConfigError(f"{path}: snr_db must be nonempty")
+    snr = _require(raw, "snr_db", path)
+    if not (isinstance(snr, list) and snr):
+        raise ConfigError(f"{path}: snr_db must be a nonempty list")
+    snr = [check_number(v, f"{path}: snr_db") for v in snr]
     trials = check_int(_require(raw, "trials", path), f"{path}: trials", 1)
-    pfa = float(_require(raw, "pfa", path))
+    pfa = check_number(_require(raw, "pfa", path), f"{path}: pfa")
     if not 0.0 < pfa < 1.0:
         raise ConfigError(f"{path}: pfa must lie in (0, 1)")
     seed = check_int(_require(raw, "seed", path), f"{path}: seed", 0)
@@ -233,7 +251,7 @@ def load_scenario(path) -> ScenarioConfig:
     check_white_for_joint(algorithm, clutter, f"{path}: algorithm")
     g_max = check_int(_require(raw, "g_max", path), f"{path}: g_max", 1)
     grid_cell = check_number(_require(raw, "grid_cell_m", path),
-                             f"{path}: grid_cell_m")
+                             f"{path}: grid_cell_m", positive=True)
 
     cfg = ScenarioConfig(
         name=str(_require(raw, "name", path)),
@@ -243,10 +261,12 @@ def load_scenario(path) -> ScenarioConfig:
         grid_cell=grid_cell,
         target_positions=tuple(targets),
         proportions=tuple(proportions),
-        window=float(_require(wf, "window_s", "waveforms")),
-        n_samples=int(_require(wf, "samples", "waveforms")),
-        pulse_width=float(_require(wf, "pulse_width_s", "waveforms")),
-        sigma_sq=float(_require(noise_raw, "sigma_sq", "noise")),
+        window=window,
+        n_samples=check_int(_require(wf, "samples", "waveforms"),
+                            f"{path}: waveforms.samples", 2),
+        pulse_width=pulse_width,
+        sigma_sq=check_number(_require(noise_raw, "sigma_sq", "noise"),
+                              f"{path}: noise.sigma_sq", positive=True),
         clutter=clutter,
         snr_db=tuple(snr),
         pfa=pfa,
@@ -264,8 +284,6 @@ def load_scenario(path) -> ScenarioConfig:
         Grid(cfg.region, cfg.grid_cell)
     except ValueError as exc:
         raise ConfigError(f"{path}: grid_cell_m: {exc}") from exc
-    if cfg.sigma_sq <= 0:
-        raise ConfigError(f"{path}: noise.sigma_sq must be positive")
     return cfg
 
 
@@ -379,12 +397,10 @@ def run_trial(ctx: RunContext, snr_db: float, trial: int,
         ctx, snr_db, trial, target_indices)
     est_cfg = EstimatorConfig(g_max=cfg.g_max, algorithm=algorithm)
     if algorithm == "joint":
-        report = joint_search(observations, ctx.waveforms, ctx.layout,
-                              ctx.grid, len(target_indices),
-                              thresholds.lambda_prime, cache=ctx.cache)
+        report = joint_search(observations, ctx.cache, len(target_indices),
+                              thresholds.lambda_prime)
     else:
-        fld = objective_field(observations, ctx.waveforms, ctx.layout,
-                              ctx.grid, cache=ctx.cache)
+        fld = objective_field(observations, ctx.cache)
         run = ssr_run if algorithm == "ssr" else sic_run
         report = run(fld, thresholds, est_cfg)
 
@@ -418,7 +434,7 @@ TRIAL_HEADER = "algorithm,snr_db,trial,target,valid,err_x_m,err_y_m,g_hat"
 
 
 def _append_trial_rows(path, rows):
-    new_file = not os.path.exists(path)
+    new_file = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8", newline="\n") as fh:
         if new_file:
             fh.write(TRIAL_HEADER + "\n")
@@ -429,20 +445,45 @@ def _append_trial_rows(path, rows):
         fh.flush()
 
 
-def _load_trial_rows(path):
-    rows = []
+def _load_trial_rows(path, expected):
+    """The complete trials of a trial file, in file order.
+
+    Rows are appended trial by trial, so an interrupted sweep can leave a
+    torn last line or a last trial with only some of its rows (expected
+    maps an algorithm to its rows per trial).  The file is cut back to
+    its last complete trial, so the sweep re-runs the rest.
+    """
+    rows, trial = [], []
     if not os.path.exists(path):
         return rows
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-        if header.strip() != TRIAL_HEADER:
+        if (not header.endswith(b"\n")
+                and (TRIAL_HEADER + "\n").encode().startswith(header)):
+            header = b""            # torn header: the file starts afresh
+        elif header.strip() != TRIAL_HEADER.encode():
             raise ConfigError(f"{path}: unexpected trial file header")
+        keep = end = len(header)
         for line in fh:
-            a, snr, tr, tg, v, ex, ey, gh = line.strip().split(",")
-            rows.append({"algorithm": a, "snr_db": float(snr),
-                         "trial": int(tr), "target": int(tg),
-                         "valid": int(v), "err_x_m": float(ex),
-                         "err_y_m": float(ey), "g_hat": int(gh)})
+            end += len(line)
+            try:
+                a, snr, tr, tg, v, ex, ey, gh = line.decode().split(",")
+                row = {"algorithm": a, "snr_db": float(snr),
+                       "trial": int(tr), "target": int(tg),
+                       "valid": int(v), "err_x_m": float(ex),
+                       "err_y_m": float(ey), "g_hat": int(gh)}
+            except ValueError:
+                break
+            key = (a, row["snr_db"], row["trial"])
+            if not line.endswith(b"\n") or (trial and key != trial_key):
+                break
+            trial.append(row)
+            trial_key = key
+            if len(trial) >= expected.get(a, 1):
+                rows += trial
+                trial, keep = [], end
+    if keep < os.path.getsize(path):
+        os.truncate(path, keep)
     return rows
 
 
@@ -489,7 +530,8 @@ def run_sweep(cfg: ScenarioConfig, algorithm: str | None = None,
         thresholds = ctx.calibrate()
 
     trial_path = os.path.join(out_dir, "trial_records.csv")
-    existing = _load_trial_rows(trial_path)
+    existing = _load_trial_rows(trial_path, {algorithm: cfg.n_targets,
+                                             f"{algorithm}-single": 1})
     done = {(r["algorithm"], r["snr_db"], r["trial"]) for r in existing}
     rows = list(existing)
 

@@ -8,7 +8,8 @@ energies s^H R^-1 s, so the objective field is the GLRT
 |s^H R^-1 r|^2 / (2 s^H R^-1 s) and its alphas the colored-noise MLEs.
 The direct routes (path_loglik, gram_matrix, joint_path_loglik, the
 replica inner products and so the joint search) take R = I: white noise
-only.
+only.  The field and the joint search take the cache alone: it is the
+one description of the scenario (waveforms, layout, grid, noise).
 
 Two evaluation routes exist on purpose.  path_loglik materialises the
 delayed replica and takes inner products directly; objective_field
@@ -70,15 +71,12 @@ class ObjectiveField:
     """
 
     def __init__(self, grid: Grid, per_path_ll: np.ndarray,
-                 cross: np.ndarray, energy: np.ndarray, bins: np.ndarray,
-                 out_of_window: np.ndarray, tau_c: float):
+                 cross: np.ndarray, energy: np.ndarray, bins: np.ndarray):
         self.grid = grid
         self.per_path_ll = per_path_ll
         self.cross = cross
         self.energy = energy
         self.bins = bins
-        self.out_of_window = out_of_window
-        self.tau_c = tau_c
         self.subtracted = np.zeros_like(per_path_ll, dtype=bool)
         self.combined = per_path_ll.sum(axis=0)
 
@@ -122,7 +120,8 @@ class ReplicaCache:
     energies depend only on (waveforms, layout, grid, noise), so they are
     built once; per-trial work reduces to one FFT correlation per path
     plus the tap gather.  noise (default white) sets the energies: s^H s
-    for white noise, s^H R^-1 s with clutter.
+    for white noise, s^H R^-1 s with clutter.  The arrays are read-only
+    once built: every objective field of the scenario shares them.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -156,10 +155,11 @@ class ReplicaCache:
 
         n_t, p = waveforms.n_samples, waveforms.pulse_samples
         self.nfft = scipy.fft.next_fast_len(n_t + p + 2 * KERNEL_TAPS)
-        self.wave_fft_conj = np.conj(
-            scipy.fft.fft(waveforms.samples, self.nfft, axis=1))
-        self.path_fft_conj = np.ascontiguousarray(
-            self.wave_fft_conj[self.path_tx])
+        self.path_fft_conj = np.conj(
+            scipy.fft.fft(waveforms.samples, self.nfft, axis=1))[self.path_tx]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def _energies(self, n0):
         # each cell paired with itself (offset 0), exact while the shifted
@@ -237,14 +237,6 @@ class ReplicaCache:
                               writeable=False)
         return np.einsum("...t,...u,...tu->...", taps_a, taps_b, toeplitz)
 
-    def correlate(self, obs: PathObservation) -> np.ndarray:
-        """Cross-correlation of an observation with its path's waveform at
-        all integer lags, extended by KERNEL_TAPS negative lags in front."""
-        k = int(self.path_tx[obs.path])
-        spec = scipy.fft.fft(obs.r, self.nfft) * self.wave_fft_conj[k]
-        corr = scipy.fft.ifft(spec)
-        return np.concatenate([corr[-KERNEL_TAPS:], corr])
-
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
         """Batched correlate over all paths: obs_matrix is (n_paths, N_T)
         ordered by flat path index; returns (n_paths, nfft + KERNEL_TAPS)."""
@@ -280,17 +272,14 @@ def path_loglik(theta: Position2D, obs: PathObservation,
     return 0.5 * abs(np.vdot(sv.samples, obs.r)) ** 2 / e
 
 
-def objective_field(observations, waveforms: WaveformSet,
-                    layout: AntennaLayout, grid: Grid,
-                    cache: ReplicaCache | None = None) -> ObjectiveField:
+def objective_field(observations, cache: ReplicaCache) -> ObjectiveField:
     """Evaluate every path's log-likelihood on every grid cell and sum.
 
     observations: iterable of whitened PathObservation covering every
-    path exactly once.  Without a cache the noise is taken to be white;
-    under clutter pass the cache built with the noise model.
+    path of the cache's layout exactly once.  The cache, built with the
+    noise model, supplies the replica energies; the field shares its
+    energy and bins arrays.
     """
-    if cache is None:
-        cache = ReplicaCache(waveforms, layout, grid)
     obs_by_path = {}
     for o in observations:
         if not o.whitened:
@@ -298,10 +287,10 @@ def objective_field(observations, waveforms: WaveformSet,
         if o.path in obs_by_path:
             raise ValueError(f"duplicate observation for path {o.path}")
         obs_by_path[o.path] = o
-    if sorted(obs_by_path) != list(range(layout.n_paths)):
+    n_paths, n_cells = cache.energy.shape
+    if sorted(obs_by_path) != list(range(n_paths)):
         raise ValueError("need exactly one observation per path")
 
-    n_paths, n_cells = layout.n_paths, grid.n_cells
     per_path_ll = np.empty((n_paths, n_cells))
     cross = np.empty((n_paths, n_cells), dtype=complex)
     obs_matrix = np.stack([obs_by_path[p].r for p in range(n_paths)])
@@ -310,10 +299,8 @@ def objective_field(observations, waveforms: WaveformSet,
         _kernels.path_objective(np.ascontiguousarray(corr[p]),
                                 cache.gather_base[p], cache.taps[p],
                                 cache.energy[p], cross[p], per_path_ll[p])
-    return ObjectiveField(grid=grid, per_path_ll=per_path_ll, cross=cross,
-                          energy=cache.energy.copy(), bins=cache.bins,
-                          out_of_window=cache.out_of_window,
-                          tau_c=waveforms.tau_c)
+    return ObjectiveField(grid=cache.grid, per_path_ll=per_path_ll,
+                          cross=cross, energy=cache.energy, bins=cache.bins)
 
 
 def gram_matrix(thetas, path: int, waveforms: WaveformSet,

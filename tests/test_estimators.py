@@ -46,8 +46,7 @@ def scene_observations(setup, scene, snr_db=None, seed=0, sigma_sq=1.0):
 
 def field_for(setup, scene, snr_db=None, seed=0):
     obs = scene_observations(setup, scene, snr_db, seed)
-    return objective_field(obs, setup.waveforms, setup.layout, setup.grid,
-                           cache=setup.cache)
+    return objective_field(obs, setup.cache)
 
 
 @pytest.fixture(scope="module")
@@ -108,8 +107,7 @@ class TestCalibration:
                        s.scene([]), s.waveforms, noise, p,
                        substream(5, TAG_SCENE, t, p)), noise)
                    for p in range(s.layout.n_paths)]
-            fld = objective_field(obs, s.waveforms, s.layout, s.grid,
-                                  cache=cache)
+            fld = objective_field(obs, cache)
             values.append(fld.per_path_ll[~cache.out_of_window])
         values = np.concatenate(values)
         assert np.mean(values) == pytest.approx(0.5, abs=0.04)
@@ -195,9 +193,7 @@ def toy_field():
     fld = ObjectiveField(grid=grid, per_path_ll=ll.copy(),
                          cross=np.zeros((2, 3), dtype=complex),
                          energy=np.ones((2, 3)),
-                         bins=bins,
-                         out_of_window=np.zeros((2, 3), dtype=bool),
-                         tau_c=1.0)
+                         bins=bins)
     return fld, ll
 
 
@@ -247,9 +243,7 @@ class TestSICThreshold:
                              per_path_ll=np.ones((n_paths, 1)),
                              cross=np.zeros((n_paths, 1), dtype=complex),
                              energy=np.ones((n_paths, 1)),
-                             bins=np.arange(n_paths)[:, None] * 10,
-                             out_of_window=np.zeros((n_paths, 1), dtype=bool),
-                             tau_c=1.0)
+                             bins=np.arange(n_paths)[:, None] * 10)
         return fld, ThresholdConfig(lambda_prime=lam, pfa=0.1)
 
     def test_no_cancellations(self):
@@ -353,9 +347,7 @@ class TestProposition1:
                                        + 1j * rng2.standard_normal(len(o.r))),
                        whitened=True)
                    for o in obs]
-            make = lambda: objective_field(obs, small.waveforms,
-                                           small.layout, small.grid,
-                                           cache=small.cache)
+            make = lambda: objective_field(obs, small.cache)
             cfg = EstimatorConfig(g_max=g, early_stop=False)
             rep_ssr = ssr_run(make(), zero_thr, cfg)
             rep_sic = sic_run(make(), zero_thr, cfg)
@@ -368,10 +360,8 @@ class TestJointSearch:
     def test_single_target_equals_argmax(self, coarse):
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
-        fld = objective_field(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, cache=coarse.cache)
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 1, 1.0, cache=coarse.cache)
+        fld = objective_field(obs, coarse.cache)
+        report = joint_search(obs, coarse.cache, 1, 1.0)
         assert report.g_hat == 1
         assert report.detections[0].cell == fld.argmax_cell()
 
@@ -383,8 +373,7 @@ class TestJointSearch:
                                coarse.grid.cell_center(c).y)
                               for c in (c1, c2)])
         obs = scene_observations(coarse, scene, seed=77)  # noise-free
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 2, 0.0, cache=coarse.cache)
+        report = joint_search(obs, coarse.cache, 2, 0.0)
         assert {d.cell for d in report.detections} == {c1, c2}
 
         # oracle over a thinned candidate set that includes the truth
@@ -425,8 +414,7 @@ class TestJointSearch:
                               setup.grid.cell_center(c).y)
                              for c in (c1, c2)])
         obs = scene_observations(setup, scene, seed=55)  # noise-free
-        report = joint_search(obs, setup.waveforms, setup.layout, setup.grid,
-                              2, 0.0, cache=setup.cache)
+        report = joint_search(obs, setup.cache, 2, 0.0)
         assert {d.cell for d in report.detections} == {c1, c2}
 
         n = setup.grid.n_cells
@@ -472,30 +460,26 @@ class TestJointSearch:
         scene = coarse.scene([(coarse.grid.cell_center(c1).x,
                                coarse.grid.cell_center(c1).y)])
         obs = scene_observations(coarse, scene, seed=78)
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 2, 0.0, cache=coarse.cache)
+        report = joint_search(obs, coarse.cache, 2, 0.0)
         assert {det.cell for det in report.detections} != {c1, c2}
 
     def test_threshold_gates_declaration(self, coarse):
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 1, 1e12, cache=coarse.cache)
+        report = joint_search(obs, coarse.cache, 1, 1e12)
         assert report.g_hat == 0
 
     def test_large_g_rejected(self, coarse):
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
         with pytest.raises(ValueError):
-            joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
-                         4, 0.0, cache=coarse.cache)
+            joint_search(obs, coarse.cache, 4, 0.0)
 
     def test_fine_grid_rejected_for_pairs(self, small):
         scene = small.scene([(2250.0, 2750.0)])
         obs = scene_observations(small, scene, snr_db=12.0, seed=31)
         with pytest.raises(ValueError):
-            joint_search(obs, small.waveforms, small.layout, small.grid,
-                         2, 0.0, cache=small.cache)
+            joint_search(obs, small.cache, 2, 0.0)
 
     def test_three_targets_coarse_grid(self, coarse):
         cells = coarse.separated_cells(3, min_gap_samples=4.0,
@@ -503,8 +487,7 @@ class TestJointSearch:
         scene = coarse.scene([(coarse.grid.cell_center(c).x,
                                coarse.grid.cell_center(c).y) for c in cells])
         obs = scene_observations(coarse, scene, seed=79)
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 3, 0.0, cache=coarse.cache)
+        report = joint_search(obs, coarse.cache, 3, 0.0)
         assert {d.cell for d in report.detections} == set(cells)
 
     def test_declared_alphas_match_gram_oracle(self, coarse):
@@ -513,8 +496,7 @@ class TestJointSearch:
         scene = coarse.scene([(coarse.grid.cell_center(c).x,
                                coarse.grid.cell_center(c).y) for c in cells])
         obs = scene_observations(coarse, scene, snr_db=15.0, seed=80)
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 3, 0.0, cache=coarse.cache)
+        report = joint_search(obs, coarse.cache, 3, 0.0)
         assert {d.cell for d in report.detections} == set(cells)
         thetas = [d.location for d in report.detections]
         for p in range(coarse.layout.n_paths):
@@ -528,27 +510,26 @@ class TestJointSearch:
             assert np.allclose(got, want, rtol=1e-9, atol=0)
 
     def test_tuple_budget_checked_before_any_work(self, coarse, monkeypatch):
-        # refused before the replica cache or the objective field is built:
+        # refused before the objective field or the tuples are built:
         # C(400, 3) ~ 1.06e7 tuples on a 20 x 20 grid; on the 144-cell grid,
         # 142 or 145 targets, whose enumeration passes through the 72-cell
         # stage of up to C(144, 72) tuples although C(144, 142) is small
         # and C(144, 145) is 0
         grid = Grid(coarse.region, 600.0)
         assert grid.n_cells == 400
+        fine = ReplicaCache(coarse.waveforms, coarse.layout, grid)
         n = coarse.grid.n_cells
 
         def never(*args, **kwargs):
             raise AssertionError("joint search started work over budget")
-        monkeypatch.setattr(estimators, "ReplicaCache", never)
         monkeypatch.setattr(estimators, "objective_field", never)
-        for g, n_targets in [(grid, 3), (coarse.grid, n - 2),
-                             (coarse.grid, n + 1)]:
+        monkeypatch.setattr(estimators, "gap_ok_tuples", never)
+        for cache, n_targets in [(fine, 3), (coarse.cache, n - 2),
+                                 (coarse.cache, n + 1)]:
             with pytest.raises(ValueError, match="budget"):
-                joint_search([], coarse.waveforms, coarse.layout, g,
-                             n_targets, 0.0)
+                joint_search([], cache, n_targets, 0.0)
         with pytest.raises(ValueError, match="n_targets"):
-            joint_search([], coarse.waveforms, coarse.layout, coarse.grid,
-                         0, 0.0)
+            joint_search([], coarse.cache, 0, 0.0)
 
     def test_clutter_cache_refused(self, coarse, monkeypatch):
         # the Gram's off-diagonal products are not R^-1 weighted, so a
@@ -561,8 +542,7 @@ class TestJointSearch:
         monkeypatch.setattr(estimators, "objective_field", never)
         for n_targets in (1, 2):
             with pytest.raises(ValueError, match="white noise"):
-                joint_search([], coarse.waveforms, coarse.layout,
-                             coarse.grid, n_targets, 0.0, cache=cache)
+                joint_search([], cache, n_targets, 0.0)
 
     def test_single_target_has_no_tuple_budget(self, coarse, monkeypatch):
         # one target is the field argmax and enumerates no tuples, so it
@@ -571,35 +551,29 @@ class TestJointSearch:
                             coarse.grid.n_cells - 1)
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
-        fld = objective_field(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, cache=coarse.cache)
-        report = joint_search(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, 1, 0.0, cache=coarse.cache)
+        fld = objective_field(obs, coarse.cache)
+        report = joint_search(obs, coarse.cache, 1, 0.0)
         assert [d.cell for d in report.detections] == [fld.argmax_cell()]
         with pytest.raises(ValueError, match="budget"):
-            joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
-                         2, 0.0, cache=coarse.cache)
+            joint_search(obs, coarse.cache, 2, 0.0)
 
     def test_small_blocks_match_one_block(self, coarse, monkeypatch):
         # with JOINT_CHUNK = 64, each path's Gram is built one row per block
         # and the pairs are scored in many chunks: same Gram, same result
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
-        fld = objective_field(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, cache=coarse.cache)
-        want = joint_search(obs, coarse.waveforms, coarse.layout,
-                            coarse.grid, 2, 0.0, cache=coarse.cache)
+        fld = objective_field(obs, coarse.cache)
+        want = joint_search(obs, coarse.cache, 2, 0.0)
         monkeypatch.setattr(estimators, "JOINT_CHUNK", 64)
         cells = np.arange(coarse.grid.n_cells)
         off = ~np.eye(len(cells), dtype=bool)
         for p in range(coarse.layout.n_paths):
-            gram = estimators._path_gram(fld, coarse.cache, p, cells)
+            gram = estimators._path_gram(coarse.cache, p, cells)
             full = coarse.cache.inner_products(p, cells[:, None],
                                                cells[None, :])
             np.testing.assert_allclose(gram[off], full[off], rtol=1e-13)
             np.testing.assert_array_equal(gram.diagonal(), fld.energy[p])
-        got = joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
-                           2, 0.0, cache=coarse.cache)
+        got = joint_search(obs, coarse.cache, 2, 0.0)
         assert ([d.cell for d in got.detections]
                 == [d.cell for d in want.detections])
         assert got.accumulated_objective == pytest.approx(
@@ -630,8 +604,7 @@ class TestJointPathStatistic:
         # materialized-replica oracles
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=81)
-        fld = objective_field(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, cache=coarse.cache)
+        fld = objective_field(obs, coarse.cache)
         cache, ts = coarse.cache, coarse.waveforms.Ts
         rng = np.random.default_rng(n_targets)
         tuples = []
@@ -707,13 +680,10 @@ class TestDetectorProperties:
         obs = scene_observations(coarse, coarse_scene(coarse, seed,
                                                       n_targets),
                                  snr_db=10.0, seed=seed)
-        fld = objective_field(obs, coarse.waveforms, coarse.layout,
-                              coarse.grid, cache=coarse.cache)
-        one = joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
-                           1, 0.0, cache=coarse.cache)
+        fld = objective_field(obs, coarse.cache)
+        one = joint_search(obs, coarse.cache, 1, 0.0)
         assert [d.cell for d in one.detections] == [fld.argmax_cell()]
-        two = joint_search(obs, coarse.waveforms, coarse.layout, coarse.grid,
-                           2, 0.0, cache=coarse.cache)
+        two = joint_search(obs, coarse.cache, 2, 0.0)
         assert two.g_hat == 2
         thetas = two.locations()
         want = sum(joint_path_loglik(thetas, obs[p], coarse.waveforms,

@@ -158,6 +158,22 @@ class TestLoadScenario:
         ("noise", {"sigma_sq": 1.0,
                    "clutter": {"rho": 0.5, "power": float("inf")}}),
         ("noise", {"sigma_sq": 1.0, "clutter": {"rho": 0.5, "power": True}}),
+        ("noise", {"sigma_sq": float("nan")}),
+        ("noise", {"sigma_sq": float("inf")}),
+        ("targets", [{"x_km": 0.1, "y_km": 1.1,
+                      "proportion": float("nan")}]),
+        ("targets", [{"x_km": "x", "y_km": 1.1, "proportion": 1.0}]),
+        ("snr_db", [float("nan")]),
+        ("snr_db", "x"),
+        ("waveforms", dict(MINI["waveforms"], samples=1793.7)),
+        ("waveforms", dict(MINI["waveforms"], samples=1)),
+        ("waveforms", dict(MINI["waveforms"], pulse_width_s=-1e-6)),
+        ("waveforms", dict(MINI["waveforms"], pulse_width_s=1.0)),
+        ("waveforms", dict(MINI["waveforms"], window_s="x")),
+        ("pfa", "x"),
+        ("region_km", [0.0, "x", 0.0, 12.0]),
+        ("region_km", [0.0, 12.0, float("nan"), 12.0]),
+        ("layout", {"transceivers_km": [[float("nan"), -1.0], [13.0, -2.0]]}),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, key, value):
         path = write_mini(tmp_path, **{key: value})
@@ -359,6 +375,38 @@ class TestSweep:
         assert (out / "metrics.csv").read_bytes() == \
             (fresh / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("cut", ["torn_line", "newline", "partial_trial"])
+    def test_resume_repairs_interrupted_file(self, mini_ctx, tmp_path, cut):
+        # an interrupted append leaves a torn last line (cut inside it or
+        # just before its newline) or a trial with only some of its target
+        # rows; resuming re-runs that trial, so both files end byte-equal
+        # to an uninterrupted sweep
+        cfg, ctx, thr = mini_ctx
+        fresh, out = tmp_path / "fresh", tmp_path / "resumed"
+        run_sweep(cfg, "sic", out_dir=str(fresh), thresholds=thr, trials=3,
+                  ctx=ctx)
+        full = (fresh / "trial_records.csv").read_bytes()
+        last = full.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        assert last.startswith(b"sic,10.0,2,2,")
+        drop = {"torn_line": len(last) // 2, "newline": 1,
+                "partial_trial": len(last) + 1}[cut]
+        out.mkdir()
+        (out / "trial_records.csv").write_bytes(full[:-drop])
+        run_sweep(cfg, "sic", out_dir=str(out), thresholds=thr, trials=3,
+                  ctx=ctx)
+        for name in ("trial_records.csv", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_resume_after_torn_header(self, mini_ctx, tmp_path):
+        cfg, ctx, thr = mini_ctx
+        fresh, out = tmp_path / "fresh", tmp_path / "resumed"
+        run_sweep(cfg, out_dir=str(fresh), thresholds=thr, trials=1, ctx=ctx)
+        out.mkdir()
+        (out / "trial_records.csv").write_text("algorithm,snr")
+        run_sweep(cfg, out_dir=str(out), thresholds=thr, trials=1, ctx=ctx)
+        for name in ("trial_records.csv", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_single_target_benchmark_rows(self, mini_ctx, tmp_path):
         cfg, ctx, thr = mini_ctx
         from dataclasses import replace
@@ -475,11 +523,15 @@ class TestCli:
         ["sweep", "--seed", "-1"],
         ["sweep", "--trials", "0"],
         ["sweep", "--trials", "-3"],
+        ["run", "--snr", "10", "--trial", "-1"],
+        ["gridmap", "--snr", "10", "--trial", "-2"],
+        ["gridmap", "--snr", "10", "--trial", "0", "--after-cancel", "-3"],
+        ["run", "--snr", "nan", "--trial", "0"],
     ])
     def test_bad_override_fails_at_load(self, tmp_path, capsys, monkeypatch,
                                         argv):
-        # --seed/--trials pass the config's own checks: exit 1, nothing
-        # written
+        # --seed/--trials pass the config's own checks, --snr must be
+        # finite, --trial and --after-cancel >= 0: exit 1, nothing written
         path = write_mini(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert cli.main([argv[0], path] + argv[1:]) == 1
@@ -508,5 +560,8 @@ class TestCli:
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         path = write_mini(tmp_path)
-        # negative trial index breaks the stream derivation downstream
-        assert cli.main(["run", path, "--snr", "10", "--trial", "-1"]) == 2
+        # a joint search over the mini grid's 3600 cells exceeds the tuple
+        # budget once the run has started
+        assert cli.main(["run", path, "--snr", "10", "--trial", "0",
+                         "--algo", "joint"]) == 2
+        assert "budget" in capsys.readouterr().err

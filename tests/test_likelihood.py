@@ -110,18 +110,30 @@ class TestObjectiveField:
     def test_zero_observations(self, small):
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
-        fld = objective_field(obs, small.waveforms, small.layout, small.grid,
-                              cache=small.cache)
+        fld = objective_field(obs, small.cache)
         assert np.all(fld.combined == 0.0)
         assert np.all(fld.per_path_ll >= 0.0)
+
+    def test_shares_read_only_cache_arrays(self, small):
+        # the field reads the cache's energies and bins without copying
+        # them, so no trial can alter the scenario's arrays
+        obs = [wobs(p, np.zeros(small.waveforms.n_samples))
+               for p in range(small.layout.n_paths)]
+        fld = objective_field(obs, small.cache)
+        assert fld.energy is small.cache.energy
+        assert fld.bins is small.cache.bins
+        assert fld.grid is small.cache.grid
+        for name in ("energy", "bins", "taps", "gather_base", "delays",
+                     "out_of_window", "path_fft_conj"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(small.cache, name)[0, 0] = 0
 
     def test_noise_free_single_target_peaks_at_cell(self, small):
         cell = 5 * small.grid.nx + 7
         scene = small.scene([(small.grid.cell_center(cell).x,
                               small.grid.cell_center(cell).y)])
         obs = noise_free_observations(small, scene)
-        fld = objective_field(obs, small.waveforms, small.layout, small.grid,
-                              cache=small.cache)
+        fld = objective_field(obs, small.cache)
         assert fld.argmax_cell() == cell
 
     def test_two_isolated_targets_dominate_background(self):
@@ -148,7 +160,7 @@ class TestObjectiveField:
                                             np.random.default_rng(0)).r,
                    whitened=True)
                for p in range(layout.n_paths)]
-        fld = objective_field(obs, wf, layout, grid, cache=cache)
+        fld = objective_field(obs, cache)
         fp1 = fld.footprint_of_cell(c1).any(axis=0)
         fp2 = fld.footprint_of_cell(c2).any(axis=0)
         outside = ~(fp1 | fp2)
@@ -160,8 +172,7 @@ class TestObjectiveField:
         # the FFT/tap evaluation equals the materialized-replica route
         scene = small.scene([(1750.0, 2250.0), (4250.0, 4750.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(11))
-        fld = objective_field(obs, small.waveforms, small.layout, small.grid,
-                              cache=small.cache)
+        fld = objective_field(obs, small.cache)
         for p in (0, 5, 13):
             for c in range(0, small.grid.n_cells, 11):
                 direct = path_loglik(small.grid.cell_center(c), obs[p],
@@ -172,8 +183,7 @@ class TestObjectiveField:
     def test_nonnegative(self, small):
         scene = small.scene([(2750.0, 3250.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(5))
-        fld = objective_field(obs, small.waveforms, small.layout, small.grid,
-                              cache=small.cache)
+        fld = objective_field(obs, small.cache)
         assert np.all(fld.per_path_ll >= 0.0)
         assert np.all(fld.combined >= 0.0)
 
@@ -181,20 +191,17 @@ class TestObjectiveField:
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
         with pytest.raises(ValueError):
-            objective_field(obs[:-1], small.waveforms, small.layout,
-                            small.grid, cache=small.cache)
+            objective_field(obs[:-1], small.cache)
         unwhitened = [PathObservation(path=p, r=o.r) for p, o in enumerate(obs)]
         with pytest.raises(ValueError):
-            objective_field(unwhitened, small.waveforms, small.layout,
-                            small.grid, cache=small.cache)
+            objective_field(unwhitened, small.cache)
 
     def test_footprint_matches_geometry_route(self, small):
         # the field's cached-bin footprint equals the geometry module's
         from mimoloc.geometry import footprint
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
-        fld = objective_field(obs, small.waveforms, small.layout, small.grid,
-                              cache=small.cache)
+        fld = objective_field(obs, small.cache)
         for cell in (0, 1234, small.grid.n_cells - 1):
             per_path, union = footprint(small.grid.cell_center(cell),
                                         small.grid, small.layout,
@@ -206,8 +213,7 @@ class TestObjectiveField:
     def test_cancellation_bookkeeping(self, small):
         scene = small.scene([(2750.0, 3250.0), (4250.0, 1250.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(9))
-        fld = objective_field(obs, small.waveforms, small.layout, small.grid,
-                              cache=small.cache)
+        fld = objective_field(obs, small.cache)
         original = fld.per_path_ll.copy()
         cell = fld.argmax_cell()
         mask = fld.footprint_of_cell(cell)
@@ -281,9 +287,7 @@ class TestClutterGLRT:
         raw = [synthesize_observation(scene, setup.waveforms, noise, p,
                                       np.random.default_rng(10 + p))
                for p in range(setup.layout.n_paths)]
-        fld = objective_field([whiten(o, noise) for o in raw],
-                              setup.waveforms, setup.layout, setup.grid,
-                              cache=cache)
+        fld = objective_field([whiten(o, noise) for o in raw], cache)
         r_inv = np.linalg.inv(noise.covariance(setup.waveforms.n_samples))
         for p, obs in enumerate(raw):
             cells, energy, cross = self.dense_terms(setup, p, r_inv,
