@@ -8,20 +8,19 @@ BACKEND = "numpy"
 def path_objective(corr, n0, taps, energy, cross_out, ll_out):
     """Per-cell matched-filter output and log-likelihood for one path.
 
-    corr:    full cross-correlation of the path observation with the
-             transmit waveform at integer lags, corr[m] = sum_n
-             conj(s[n-m]) r[n], length >= max(n0) + taps.shape[1].
-    n0:      (n_cells,) integer part of each cell's delay in samples.
+    corr:    cross-correlation sum_n conj(s[n-m]) r[n] of the path
+             observation with the transmit waveform at consecutive
+             integer lags m, from some first lag on; length >= max(n0) +
+             taps.shape[1].
+    n0:      (n_cells,) index into corr of each cell's first tap.
     taps:    (n_cells, n_taps) fractional-delay interpolation weights.
     energy:  (n_cells,) replica energies s~^H s~.
     cross_out, ll_out: (n_cells,) outputs; cross = s~^H r and
              ll = 0.5 |cross|^2 / energy (0 where energy is 0).
     """
-    n_taps = taps.shape[1]
-    idx = n0[:, None] + np.arange(n_taps)[None, :]
-    gathered = corr[idx]  # (n_cells, n_taps)
-    np.einsum("ct,ct->c", taps.astype(gathered.dtype), gathered,
-              out=cross_out)
+    cross_out[:] = 0
+    for t in range(taps.shape[1]):     # corr[t:][n0] is corr[n0 + t]
+        cross_out += taps[:, t] * corr[t:][n0]
     np.multiply(cross_out.real, cross_out.real, out=ll_out)
     ll_out += cross_out.imag * cross_out.imag
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import AntennaLayout, Grid, Position2D, Scene
 from .likelihood import (SINGULARITY_TOL_SAMPLES, ObjectiveField,
-                         ReplicaCache, objective_field)
+                         ReplicaCache, map_paths, objective_field)
 from .signal import (NoiseModel, WaveformSet, synthesize_observation,
                      whiten)
 from .streams import TAG_CALIBRATION, substream
@@ -139,13 +139,23 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
-        obs = [whiten(synthesize_observation(
-                   empty, waveforms, noise, p, substream(seed, tag, t, p)),
-                   noise)
-               for p in range(layout.n_paths)]
+        obs = whitened_observations(empty, waveforms, noise, seed, tag, t)
         fld = objective_field(obs, cache)
         peaks[t] = fld.combined.max()
     return peaks
+
+
+def whitened_observations(scene: Scene, waveforms: WaveformSet,
+                          noise: NoiseModel, seed: int, tag: int,
+                          trial: int) -> list:
+    """Every path's synthesized and whitened echo of one trial, path p's
+    noise drawn from stream (seed, tag, trial, p).  Paths run on worker
+    threads for large windows (map_paths); the bytes do not change."""
+    def one(p):
+        rng = substream(seed, tag, trial, p)
+        return whiten(synthesize_observation(scene, waveforms, noise, p, rng),
+                      noise)
+    return map_paths(one, scene.layout.n_paths, waveforms.n_samples)
 
 
 def peak_quantile(peaks: np.ndarray, pfa: float) -> float:

@@ -45,12 +45,13 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import (DetectionReport, EstimatorConfig, ThresholdConfig,
                          calibrate_threshold, h0_objective_peaks,
-                         joint_search, sic_run, ssr_run)
+                         joint_search, sic_run, ssr_run,
+                         whitened_observations)
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
                        TargetTruth)
 from .likelihood import ReplicaCache, objective_field
 from .signal import (NoiseModel, build_waveform_set, reference_energies,
-                     scale_alphas_for_snr, synthesize_observation, whiten)
+                     scale_alphas_for_snr)
 from .streams import TAG_HOLDOUT, TAG_NOISE, TAG_PHASE, substream
 
 VALID_RADIUS_M = 200.0
@@ -104,6 +105,9 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _reject_unknown(mapping: dict, allowed, where: str):
+    """mapping must be a JSON object with no keys outside allowed."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object, got {mapping!r}")
     unknown = set(mapping) - set(allowed)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -141,7 +145,16 @@ def check_white_for_joint(algorithm: str, clutter, where: str) -> None:
                           "but the scenario has noise.clutter")
 
 
+def check_str(value, where: str) -> str:
+    """A JSON string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
 def _positions_km(entries, where: str):
+    if not isinstance(entries, list):
+        raise ConfigError(f"{where}: expected a list of [x_km, y_km]")
     out = []
     for i, e in enumerate(entries):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
@@ -196,9 +209,12 @@ def load_scenario(path) -> ScenarioConfig:
                           "ymin < ymax")
     region = Rect(xmin, xmax, ymin, ymax)
 
+    targets_raw = _require(raw, "targets", path)
+    if not isinstance(targets_raw, list):
+        raise ConfigError(f"{path}: targets must be a list of objects")
     targets = []
     proportions = []
-    for i, t in enumerate(_require(raw, "targets", path)):
+    for i, t in enumerate(targets_raw):
         where = f"{path}: targets[{i}]"
         _reject_unknown(t, {"x_km", "y_km", "proportion"}, where)
         p = Position2D(*(check_number(_require(t, key, where),
@@ -252,9 +268,13 @@ def load_scenario(path) -> ScenarioConfig:
     g_max = check_int(_require(raw, "g_max", path), f"{path}: g_max", 1)
     grid_cell = check_number(_require(raw, "grid_cell_m", path),
                              f"{path}: grid_cell_m", positive=True)
+    single = raw.get("single_target_benchmark", False)
+    if not isinstance(single, bool):
+        raise ConfigError(f"{path}: single_target_benchmark must be true "
+                          f"or false, got {single!r}")
 
     cfg = ScenarioConfig(
-        name=str(_require(raw, "name", path)),
+        name=check_str(_require(raw, "name", path), f"{path}: name"),
         seed=seed,
         layout=layout,
         region=region,
@@ -275,9 +295,9 @@ def load_scenario(path) -> ScenarioConfig:
                                      f"{path}: calibration_trials", 100),
         g_max=g_max,
         algorithm=algorithm,
-        single_target_benchmark=bool(raw.get("single_target_benchmark",
-                                             False)),
-        output_dir=str(raw.get("output_dir", "out")),
+        single_target_benchmark=single,
+        output_dir=check_str(raw.get("output_dir", "out"),
+                             f"{path}: output_dir"),
     )
     # semantic checks that need the assembled pieces
     try:
@@ -377,11 +397,8 @@ def trial_observations(ctx: RunContext, snr_db: float, trial: int,
             ref_proportion=max(cfg.proportions),
             ref_energy=ctx.ref_energy)
 
-    observations = []
-    for p in range(ctx.layout.n_paths):
-        rng = substream(cfg.seed, TAG_NOISE, trial, p)
-        obs = synthesize_observation(scene, ctx.waveforms, ctx.noise, p, rng)
-        observations.append(whiten(obs, ctx.noise))
+    observations = whitened_observations(scene, ctx.waveforms, ctx.noise,
+                                         cfg.seed, TAG_NOISE, trial)
     return observations, target_indices
 
 

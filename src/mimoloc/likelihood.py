@@ -17,19 +17,39 @@ reaches the same numbers through one FFT cross-correlation per path
 plus the fractional-delay interpolation weights, which turns the
 per-cell work into an 8-tap gather (the hot kernel).  The tests hold
 the two routes to each other.
+
+The correlation covers only the lags a path's gathers reach: each path
+correlates its own segment of the observation (the gather span plus
+the pulse), all paths in one batched FFT at the longest segment's
+length, and the cache's gather bases index that segment-local result.
+On windows of at least THREAD_MIN_SAMPLES samples the per-path work of
+a trial (noise synthesis, whitening, the gather) runs as one block of
+paths per worker thread (map_paths); numpy releases the GIL in the
+draws and the gather, and every path's result depends on that path
+alone, so the bytes do not depend on the thread count.
 """
 from __future__ import annotations
 
 import os
 import struct
 import warnings
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from numpy.lib.stride_tricks import as_strided
 
+# FFT workers, and the worker threads of map_paths
 _FFT_WORKERS = min(4, os.cpu_count() or 1)
+# samples per path from which map_paths hands paths to threads: below it
+# each hand-off costs more GIL traffic than the path's work saves
+THREAD_MIN_SAMPLES = 1 << 14
+# (path, cell) entries per interp_taps call while building the cache
+TAP_BLOCK = 1 << 14
+_pool = None                 # map_paths' worker threads, made on first use
+_pool_lock = threading.Lock()
 
 from . import _kernels
 from .errors import CoincidentDelayError, ObservationWindowError
@@ -122,6 +142,14 @@ class ReplicaCache:
     plus the tap gather.  noise (default white) sets the energies: s^H s
     for white noise, s^H R^-1 s with clutter.  The arrays are read-only
     once built: every objective field of the scenario shares them.
+
+    Path p's in-window gathers read the correlation lags lag_start[p]
+    onwards, which depend on the observation samples lag_start[p] ..
+    lag_start[p] + segment[p] - 1 (samples outside the window are 0).
+    gather_base[p, c] is the first lag cell c reads, counted from
+    lag_start[p]: an index into row p of correlate_all.  nfft, the
+    length of every correlated row, is the fast FFT length of the longest
+    segment.  Out-of-window cells have zero taps, energy and base.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -133,18 +161,31 @@ class ReplicaCache:
         self.delays = grid_delays(grid, layout)          # (P, C)
         self.bins = delay_bin(self.delays, waveforms.tau_c)
         self.out_of_window = (self.delays + waveforms.tau_c > waveforms.T)
+        inside = ~self.out_of_window
 
         d = self.delays / waveforms.Ts
         n0 = np.floor(d).astype(np.int64)
-        mu = d - n0
-        self.tap_offsets, taps = interp_taps(mu)         # (P, C, 8)
-        first = int(self.tap_offsets[0])                 # -3 for 8 taps
-        # gather base index into the lag-extended correlation array
-        self.gather_base = (n0 + first + KERNEL_TAPS).astype(np.int32)
-        taps = np.ascontiguousarray(taps)
+        # interp_taps in blocks: its temporaries are several times the taps
+        mu = (d - n0).ravel()
+        taps = np.empty(mu.shape + (KERNEL_TAPS,))
+        for s in range(0, len(mu), TAP_BLOCK):
+            self.tap_offsets, taps[s: s + TAP_BLOCK] = interp_taps(
+                mu[s: s + TAP_BLOCK])
+        taps = taps.reshape(d.shape + (KERNEL_TAPS,))
         taps[self.out_of_window] = 0.0
-        self.gather_base[self.out_of_window] = 0
         self.taps = taps
+
+        # the lags each path's in-window gathers reach
+        lag0 = n0 + int(self.tap_offsets[0])             # first lag read
+        big = np.iinfo(np.int64).max
+        lo = np.where(inside, lag0, big).min(axis=1)
+        hi = np.where(inside, lag0, -big).max(axis=1) + KERNEL_TAPS
+        unused = ~inside.any(axis=1)
+        lo[unused], hi[unused] = 0, KERNEL_TAPS
+        self.lag_start = lo
+        self.segment = hi - lo + waveforms.pulse_samples - 1
+        self.gather_base = np.where(inside, lag0 - lo[:, None],
+                                    0).astype(np.int32)
 
         self.path_tx = np.array([k for _, _, k in layout.paths()])
         if self.noise.is_white:
@@ -153,10 +194,12 @@ class ReplicaCache:
             self.energy = self._clutter_energies(n0)
         self.energy[self.out_of_window] = 0.0
 
-        n_t, p = waveforms.n_samples, waveforms.pulse_samples
-        self.nfft = scipy.fft.next_fast_len(n_t + p + 2 * KERNEL_TAPS)
-        self.path_fft_conj = np.conj(
-            scipy.fft.fft(waveforms.samples, self.nfft, axis=1))[self.path_tx]
+        # a segment of S samples against the pulse of p samples reaches
+        # S - p + 1 lags; an FFT of at least S points keeps them unwrapped
+        self.nfft = scipy.fft.next_fast_len(int(self.segment.max()))
+        self.path_fft_conj = np.conj(scipy.fft.fft(
+            waveforms.samples[:, :waveforms.pulse_samples], self.nfft,
+            axis=1))[self.path_tx]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -238,14 +281,50 @@ class ReplicaCache:
         return np.einsum("...t,...u,...tu->...", taps_a, taps_b, toeplitz)
 
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
-        """Batched correlate over all paths: obs_matrix is (n_paths, N_T)
-        ordered by flat path index; returns (n_paths, nfft + KERNEL_TAPS)."""
-        spec = scipy.fft.fft(obs_matrix, self.nfft, axis=1,
-                             workers=_FFT_WORKERS)
+        """Cross-correlation of each path's observation with its pulse at
+        the lags its gathers reach, all paths in one batched FFT.
+        obs_matrix is (n_paths, N_T) ordered by flat path index; returns
+        (n_paths, nfft) whose row p holds corr[lag_start[p] + j] at j,
+        corr[m] = sum_n conj(s[n - m]) r[n], for every lag a gather_base
+        of path p reaches."""
+        n = obs_matrix.shape[1]
+        buf = np.zeros((len(obs_matrix), self.nfft), dtype=complex)
+        for row, r, lo, seg in zip(buf, obs_matrix, self.lag_start,
+                                   self.segment):
+            a, b = max(lo, 0), min(lo + seg, n)
+            row[a - lo: b - lo] = r[a:b]
+        spec = scipy.fft.fft(buf, axis=1, workers=_FFT_WORKERS,
+                             overwrite_x=True)
         spec *= self.path_fft_conj
-        corr = scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS,
+        return scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS,
                               overwrite_x=True)
-        return np.concatenate([corr[:, -KERNEL_TAPS:], corr], axis=1)
+
+
+def map_paths(fn, n_paths: int, n_samples: int) -> list:
+    """[fn(p) for p in range(n_paths)].  With windows of at least
+    THREAD_MIN_SAMPLES samples, the paths run as one contiguous block per
+    worker thread (_FFT_WORKERS of them, this thread taking the first),
+    so fn must touch nothing another path writes."""
+    workers = min(_FFT_WORKERS, n_paths)
+    if workers < 2 or n_samples < THREAD_MIN_SAMPLES:
+        return [fn(p) for p in range(n_paths)]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_FFT_WORKERS - 1,
+                                       thread_name_prefix="mimoloc-path")
+    size = -(-n_paths // workers)
+    blocks = [range(s, min(s + size, n_paths))
+              for s in range(0, n_paths, size)]
+    rest = [_pool.submit(lambda block: [fn(p) for p in block], block)
+            for block in blocks[1:]]
+    try:
+        out = [fn(p) for p in blocks[0]]
+    finally:
+        wait(rest)          # no block still runs once this call returns
+    for future in rest:
+        out += future.result()
+    return out
 
 
 def path_loglik(theta: Position2D, obs: PathObservation,
@@ -295,10 +374,12 @@ def objective_field(observations, cache: ReplicaCache) -> ObjectiveField:
     cross = np.empty((n_paths, n_cells), dtype=complex)
     obs_matrix = np.stack([obs_by_path[p].r for p in range(n_paths)])
     corr = cache.correlate_all(obs_matrix)
-    for p in range(n_paths):
-        _kernels.path_objective(np.ascontiguousarray(corr[p]),
-                                cache.gather_base[p], cache.taps[p],
+
+    def gather(p):
+        _kernels.path_objective(corr[p], cache.gather_base[p], cache.taps[p],
                                 cache.energy[p], cross[p], per_path_ll[p])
+
+    map_paths(gather, n_paths, obs_matrix.shape[1])
     return ObjectiveField(grid=cache.grid, per_path_ll=per_path_ll,
                           cross=cross, energy=cache.energy, bins=cache.bins)
 

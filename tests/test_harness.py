@@ -174,6 +174,20 @@ class TestLoadScenario:
         ("region_km", [0.0, "x", 0.0, 12.0]),
         ("region_km", [0.0, 12.0, float("nan"), 12.0]),
         ("layout", {"transceivers_km": [[float("nan"), -1.0], [13.0, -2.0]]}),
+        ("targets", 5),
+        ("noise", 5),
+        ("waveforms", []),
+        ("layout", {"transceivers_km": 5}),
+        ("targets", [5]),
+        ("targets", [[0.1, 1.1, 1.0]]),
+        ("layout", 5),
+        ("noise", {"sigma_sq": 1.0, "clutter": [0.5, 1.0]}),
+        ("single_target_benchmark", "false"),
+        ("single_target_benchmark", 0),
+        ("name", None),
+        ("name", 5),
+        ("output_dir", None),
+        ("output_dir", 5),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, key, value):
         path = write_mini(tmp_path, **{key: value})
@@ -245,6 +259,20 @@ class TestRunTrial:
         a, _, _ = run_trial(ctx, 10.0, 3, thr)
         b, _, _ = run_trial(ctx, 10.0, 3, thr)
         assert a.to_text() == b.to_text()
+
+    def test_threaded_observations_bytes(self, mini_ctx, monkeypatch):
+        # the mini window (8961 samples) is serial by default; on worker
+        # threads every path's noise and whitening keep their bytes
+        from mimoloc import likelihood
+        from mimoloc.harness import trial_observations
+        cfg, ctx, thr = mini_ctx
+        serial, _ = trial_observations(ctx, 10.0, 4)
+        monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
+        monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
+        threaded, _ = trial_observations(ctx, 10.0, 4)
+        assert [o.path for o in threaded] == list(range(ctx.layout.n_paths))
+        for a, b in zip(serial, threaded):
+            assert a.r.tobytes() == b.r.tobytes() and b.whitened
 
     def test_benchmark_subset_pairs_with_full_run(self, mini_ctx):
         # the single-target run sees exactly the alpha the target had in

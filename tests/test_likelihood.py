@@ -1,7 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+import scipy.fft
 
+from mimoloc import likelihood
 from mimoloc.errors import CoincidentDelayError
+from mimoloc.estimators import h0_objective_peaks
 from mimoloc.geometry import AntennaLayout, Grid, Position2D, Rect
 from mimoloc.likelihood import (COMBINED_FIELD_ID, ReplicaCache,
                                 alpha_mle_isolated, alpha_mle_joint,
@@ -252,6 +259,108 @@ class TestReplicaInnerProducts:
             inside = ~coarse.cache.out_of_window[p]
             assert np.array_equal(e.real[inside],
                                   coarse.cache.energy[p, inside])
+
+
+class TestReachableLags:
+    """The field correlates only the lags each path's gathers reach, in
+    one batched FFT at the longest path's segment."""
+
+    @pytest.mark.parametrize("setup_name", ["small", "tiny"])
+    def test_nfft_is_fast_length_of_longest_segment(self, setup_name,
+                                                    request):
+        cache = request.getfixturevalue(setup_name).cache
+        assert cache.nfft == scipy.fft.next_fast_len(int(cache.segment.max()))
+        # every in-window gather, pulse included, stays inside its segment
+        p = cache.waveforms.pulse_samples
+        for base, oow, seg in zip(cache.gather_base, cache.out_of_window,
+                                  cache.segment):
+            assert base[~oow].min() == 0
+            assert base[~oow].max() + 8 + p - 1 == seg
+
+    @pytest.mark.parametrize("setup_name", ["small", "tiny"])
+    def test_extreme_bases_match_direct_route(self, setup_name, request):
+        # each path's lowest- and highest-base in-window cell against the
+        # materialized replica (tiny: window-clipped replicas, and cells
+        # out of the window)
+        setup = request.getfixturevalue(setup_name)
+        cache = setup.cache
+        scene = setup.scene([(setup.grid.cell_center(c).x,
+                              setup.grid.cell_center(c).y)
+                             for c in (0, setup.grid.n_cells // 2)])
+        obs = noisy_observations(setup, scene, np.random.default_rng(21))
+        fld = objective_field(obs, cache)
+        for p in range(setup.layout.n_paths):
+            cells = np.flatnonzero(~cache.out_of_window[p])
+            base = cache.gather_base[p, cells]
+            for c in (cells[np.argmin(base)], cells[np.argmax(base)]):
+                direct = path_loglik(setup.grid.cell_center(c), obs[p],
+                                     setup.waveforms, setup.layout, p)
+                assert fld.per_path_ll[p, c] == pytest.approx(
+                    direct, rel=1e-9, abs=1e-12)
+        assert cache.out_of_window.any() == (setup_name == "tiny")
+
+
+class TestThreadedPaths:
+    """With the thread threshold at 0 the per-path work runs on worker
+    threads and gives the serial bytes."""
+
+    @pytest.fixture
+    def threaded(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
+        monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
+
+    def test_paths_run_on_several_threads(self, threaded):
+        idents = likelihood.map_paths(lambda p: threading.get_ident(), 16, 1)
+        assert len(set(idents)) > 1
+        assert likelihood.map_paths(lambda p: p, 16, 1) == list(range(16))
+
+    def test_small_windows_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
+        n = likelihood.THREAD_MIN_SAMPLES - 1
+        idents = likelihood.map_paths(lambda p: threading.get_ident(), 16, n)
+        assert set(idents) == {threading.get_ident()}
+
+    def test_objective_field_bytes(self, small, monkeypatch):
+        # eight blocks on the worker pool and a short switch interval, so
+        # the threads interleave often while they write the field rows
+        scene = small.scene([(2750.0, 3250.0), (4250.0, 1250.0)])
+        obs = noisy_observations(small, scene, np.random.default_rng(3))
+        serial = objective_field(obs, small.cache)
+        monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
+        monkeypatch.setattr(likelihood, "_FFT_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fields = [objective_field(obs, small.cache) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for threaded in fields:
+            assert (threaded.per_path_ll.tobytes()
+                    == serial.per_path_ll.tobytes())
+            assert threaded.cross.tobytes() == serial.cross.tobytes()
+
+    def test_error_surfaces_after_every_block(self, threaded):
+        # path 0 fails on the calling thread; the call still waits for the
+        # worker blocks, so none writes after it has raised
+        done = []
+
+        def fn(p):
+            if p == 0:
+                raise RuntimeError("path 0")
+            time.sleep(0.01)
+            done.append(p)
+
+        with pytest.raises(RuntimeError, match="path 0"):
+            likelihood.map_paths(fn, 16, 1)
+        assert sorted(done) == list(range(6, 16))
+
+    def test_h0_peaks_bytes(self, small, monkeypatch):
+        args = (small.waveforms, small.layout, small.grid, small.noise, 3, 5)
+        serial = h0_objective_peaks(*args, cache=small.cache)
+        monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
+        monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
+        threaded = h0_objective_peaks(*args, cache=small.cache)
+        assert threaded.tobytes() == serial.tobytes()
 
 
 class TestClutterGLRT:
