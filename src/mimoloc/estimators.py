@@ -357,16 +357,16 @@ def gap_ok_tuples(cache: ReplicaCache, n_targets: int) -> np.ndarray:
 
 def _path_gram(cache: ReplicaCache, path: int,
                cells: np.ndarray) -> np.ndarray:
-    """One path's replica Gram matrix of the cells, energies on the
-    diagonal; built in row blocks of ~JOINT_CHUNK entries, which bounds the
-    inner products' lag-window temporaries."""
+    """One path's replica Gram matrix of the cells, the energies on its
+    diagonal (both from cache.inner_products); built in column blocks of
+    ~JOINT_CHUNK entries, so each column's Q_b is formed once and the
+    per-block temporaries stay bounded."""
     n = len(cells)
     gram = np.empty((n, n), dtype=complex)
     step = max(1, JOINT_CHUNK // n)
     for lo in range(0, n, step):
-        gram[lo: lo + step] = cache.inner_products(
-            path, cells[lo: lo + step, None], cells[None, :])
-    gram[np.diag_indices(n)] = cache.energy[path, cells]
+        gram[:, lo: lo + step] = cache.inner_products(
+            path, cells[:, None], cells[None, lo: lo + step])
     return gram
 
 

@@ -7,13 +7,16 @@ required unless marked optional, unknown keys rejected:
     seed                     int >= 0, master seed
     layout.transceivers_km   [[x, y], ...] antennas that both transmit
                              and receive (alternatively layout.tx_km and
-                             layout.rx_km as separate lists)
+                             layout.rx_km as separate lists); nonempty,
+                             positions pairwise distinct within a list
     region_km                [xmin, xmax, ymin, ymax] search rectangle
     grid_cell_m              float, cell size in metres
     targets                  [{x_km, y_km, proportion}, ...] truth list;
                              proportion is the relative square modulus of
-                             the reflection amplitudes
-    waveforms                {window_s, samples, pulse_width_s}
+                             the reflection amplitudes; every path's echo
+                             (delay + pulse_width_s) must end in window_s
+    waveforms                {window_s, samples, pulse_width_s}, with the
+                             bandwidth for one orthogonal pulse per tx
     noise                    {sigma_sq} with optional {clutter: {rho, power}},
                              AR(1) clutter power * rho^|i-j|: finite rho
                              with |rho| < 1, finite power > 0; not with
@@ -48,7 +51,7 @@ from .estimators import (DetectionReport, EstimatorConfig, ThresholdConfig,
                          joint_search, sic_run, ssr_run,
                          whitened_observations)
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
-                       TargetTruth)
+                       TargetTruth, path_delay)
 from .likelihood import ReplicaCache, objective_field
 from .signal import (NoiseModel, build_waveform_set, reference_energies,
                      scale_alphas_for_snr)
@@ -189,14 +192,15 @@ def load_scenario(path) -> ScenarioConfig:
     _reject_unknown(lay, {"transceivers_km", "tx_km", "rx_km"},
                     f"{path}: layout")
     if "transceivers_km" in lay:
-        layout = AntennaLayout.transceivers(
-            _positions_km(lay["transceivers_km"], "layout.transceivers_km"))
+        tx = rx = _positions_km(lay["transceivers_km"],
+                                "layout.transceivers_km")
     else:
-        layout = AntennaLayout(
-            tx=tuple(_positions_km(_require(lay, "tx_km", "layout"),
-                                   "layout.tx_km")),
-            rx=tuple(_positions_km(_require(lay, "rx_km", "layout"),
-                                   "layout.rx_km")))
+        tx = _positions_km(_require(lay, "tx_km", "layout"), "layout.tx_km")
+        rx = _positions_km(_require(lay, "rx_km", "layout"), "layout.rx_km")
+    try:
+        layout = AntennaLayout(tx=tuple(tx), rx=tuple(rx))
+    except ValueError as exc:        # empty or repeated positions
+        raise ConfigError(f"{path}: layout: {exc}") from exc
 
     reg = _require(raw, "region_km", path)
     if not (isinstance(reg, list) and len(reg) == 4):
@@ -304,6 +308,17 @@ def load_scenario(path) -> ScenarioConfig:
         Grid(cfg.region, cfg.grid_cell)
     except ValueError as exc:
         raise ConfigError(f"{path}: grid_cell_m: {exc}") from exc
+    try:
+        build_waveform_set(layout.n_tx, window, cfg.n_samples, pulse_width)
+    except ValueError as exc:        # BandwidthError
+        raise ConfigError(f"{path}: waveforms: {exc}") from exc
+    for i, p in enumerate(cfg.target_positions):
+        for flat, l, k in layout.paths():
+            end = path_delay(layout, p, l, k) + pulse_width
+            if end > window:
+                raise ConfigError(
+                    f"{path}: targets[{i}]: its echo on path {flat} ends at "
+                    f"{end:.4g} s, after waveforms.window_s {window!r}")
     return cfg
 
 

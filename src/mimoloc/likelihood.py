@@ -8,8 +8,15 @@ energies s^H R^-1 s, so the objective field is the GLRT
 |s^H R^-1 r|^2 / (2 s^H R^-1 s) and its alphas the colored-noise MLEs.
 The direct routes (path_loglik, gram_matrix, joint_path_loglik, the
 replica inner products and so the joint search) take R = I: white noise
-only.  The field and the joint search take the cache alone: it is the
-one description of the scenario (waveforms, layout, grid, noise).
+only, and path_loglik, alpha_mle_isolated and joint_path_loglik refuse
+an observation whitened against clutter.  The field and the joint
+search take the cache alone: it is the one description of the scenario
+(waveforms, layout, grid, noise).
+
+Every replica inner product reads one table of the cache, each pulse's
+autocorrelation ac(d): s~_a^H s~_b = sum_t sum_u h_t(a) h_u(b)
+ac(n_a - n_b + t - u) from the taps h and gather bases n, an 8 x 8
+Toeplitz form for the energies and 8 taps per Gram entry.
 
 Two evaluation routes exist on purpose.  path_loglik materialises the
 delayed replica and takes inner products directly; objective_field
@@ -39,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from numpy.lib.stride_tricks import as_strided
 
 # FFT workers, and the worker threads of map_paths
 _FFT_WORKERS = min(4, os.cpu_count() or 1)
@@ -150,6 +156,8 @@ class ReplicaCache:
     lag_start[p]: an index into row p of correlate_all.  nfft, the
     length of every correlated row, is the fast FFT length of the longest
     segment.  Out-of-window cells have zero taps, energy and base.
+    autocorr[k, p - 1 + d] = ac_k(d) = sum_m conj(s_k[m]) s_k[m + d] over
+    waveform k's p-sample pulse: the one table of the inner products.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -188,6 +196,8 @@ class ReplicaCache:
                                     0).astype(np.int32)
 
         self.path_tx = np.array([k for _, _, k in layout.paths()])
+        pulses = waveforms.samples[:, :waveforms.pulse_samples]
+        self.autocorr = np.array([np.correlate(s, s, "full") for s in pulses])
         if self.noise.is_white:
             self.energy = self._energies(n0)
         else:
@@ -198,18 +208,20 @@ class ReplicaCache:
         # S - p + 1 lags; an FFT of at least S points keeps them unwrapped
         self.nfft = scipy.fft.next_fast_len(int(self.segment.max()))
         self.path_fft_conj = np.conj(scipy.fft.fft(
-            waveforms.samples[:, :waveforms.pulse_samples], self.nfft,
-            axis=1))[self.path_tx]
+            pulses, self.nfft, axis=1))[self.path_tx]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
     def _energies(self, n0):
-        # each cell paired with itself (offset 0), exact while the shifted
-        # pulse (plus kernel support) stays inside the window
-        paths = np.arange(len(self.delays))[:, None]
-        energy = self._tap_form(paths, self.taps, self.taps,
-                                np.zeros_like(paths)).real
+        # each cell paired with itself: sum_t sum_u h_t h_u ac(t - u), exact
+        # while the shifted pulse (plus kernel support) stays inside the window
+        n, p = KERNEL_TAPS, self.waveforms.pulse_samples
+        t = np.arange(n)
+        ac = np.pad(self.autocorr, ((0, 0), (n, n)))      # ac(d) = 0, |d| >= p
+        toeplitz = ac[:, n + p - 1 + t[:, None] - t]      # [k, t, u]
+        energy = np.einsum("...t,...u,...tu->...", self.taps, self.taps,
+                           toeplitz[self.path_tx, None]).real
         # cells whose kernel support clips the window edge: evaluate directly
         wf = self.waveforms
         interior_lo = -int(self.tap_offsets[0])
@@ -240,45 +252,33 @@ class ReplicaCache:
                     shifted[k] @ self.taps[path, cells].T, start[path, cells])
         return energy
 
-    def inner_products(self, paths, a, b) -> np.ndarray:
-        """Replica inner products s~_a^H s~_b of cells a and b on the given
-        paths (integer arrays, broadcast together), e.g.
-        inner_products(p, cells[:, None], cells[None, :]) is one path's
-        Gram matrix of the cells.  Exact while both replicas' kernel
-        support stays inside the window (gram_matrix is the oracle).
-        Unweighted: white noise only."""
-        return self._tap_form(
-            paths, self.taps[paths, a], self.taps[paths, b],
-            self.gather_base[paths, a] - self.gather_base[paths, b])
-
-    def _tap_form(self, paths, taps_a, taps_b, delta) -> np.ndarray:
-        """sum_t sum_u h_t(a) h_u(b) ac(delta + t - u): the inner product
-        of two replicas on a path from their interpolation taps h (trailing
-        axis) and the offset delta = n_a - n_b of their gather bases; ac is
-        the autocorrelation ac(d) = sum_m conj(s[m]) s[m + d] of the path's
-        pulse, evaluated only at the lags the pairs reach."""
-        wf = self.waveforms
-        p = wf.pulse_samples
-        n = taps_a.shape[-1]
-        k = self.path_tx[paths]
-        d_min = int(np.min(delta))
-        lo, hi = d_min - (n - 1), int(np.max(delta)) + (n - 1)
-        ac = np.zeros((wf.n_waveforms, hi - lo + 1), dtype=complex)
-        for kk in np.unique(k):
-            s = wf.samples[kk, :p]
-            for d in range(max(lo, 1 - p), min(hi, p - 1) + 1):
-                ac[kk, d - lo] = np.vdot(s[max(0, -d): p - max(0, d)],
-                                         s[max(0, d): p + min(0, d)])
-        # win[..., j] = ac(delta - (n - 1) + j), read as the Toeplitz matrix
-        # [..., t, u] -> win[..., n - 1 + t - u] without copying
-        win = ac.ravel()[(k * ac.shape[1] + delta - d_min)[..., None]
-                         + np.arange(2 * n - 1)]
-        step = win.strides[-1]
-        toeplitz = as_strided(win[..., n - 1:],
-                              shape=win.shape[:-1] + (n, n),
-                              strides=win.strides[:-1] + (step, -step),
-                              writeable=False)
-        return np.einsum("...t,...u,...tu->...", taps_a, taps_b, toeplitz)
+    def inner_products(self, path: int, a, b) -> np.ndarray:
+        """Replica inner products s~_a^H s~_b of cells a and b (integer
+        arrays, broadcast together) on one path, e.g.
+        inner_products(p, cells[:, None], cells[None, :]) is the path's
+        Gram matrix of the cells: sum_t h_t(a) Q_b(n_a - n_b + t), with
+        Q_b(m) = sum_u h_u(b) ac(m - u) formed once per distinct b.  The
+        diagonal (a == b) is the cached energy; other pairs are exact while
+        both replicas' kernel support stays inside the window (gram_matrix
+        is the oracle).  Unweighted: white noise only."""
+        n, p = KERNEL_TAPS, self.waveforms.pulse_samples
+        reach = p + n - 1                  # Q_b(m) = 0 for |m| > reach
+        b = np.asarray(b)
+        cells_b, col = np.unique(b, return_inverse=True)
+        # row j holds Q_b(m), b = cells_b[j], at n + reach + m, between n
+        # zero columns on each side; clipping delta to them keeps far pairs 0
+        width = 2 * (reach + n) + 1
+        q = np.zeros((len(cells_b), width), dtype=complex)
+        taps_b = self.taps[path, cells_b]
+        ac = self.autocorr[self.path_tx[path]]
+        for u in range(n):                 # h_u(b) ac(d) lands at m = d + u
+            q[:, 2 * n + u: 2 * n + u + 2 * p - 1] += taps_b[:, u, None] * ac
+        delta = self.gather_base[path, a] - self.gather_base[path, b]
+        first = (np.clip(delta, -(reach + n), reach + 1) + reach + n
+                 + col.reshape(b.shape) * width)
+        taps_a, q = self.taps[path, a], q.ravel()
+        out = sum(taps_a[..., t] * q[first + t] for t in range(n))
+        return np.where(a == b, self.energy[path, a], out)
 
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
         """Cross-correlation of each path's observation with its pulse at
@@ -327,6 +327,16 @@ def map_paths(fn, n_paths: int, n_samples: int) -> list:
     return out
 
 
+def _check_white(obs: PathObservation) -> None:
+    """The direct routes take R = I: the observation must be whitened, and
+    not against clutter (R^-1 r would need s^H R^-1 s, which they lack)."""
+    if not obs.whitened:
+        raise ValueError("observation must be whitened")
+    if obs.noise is not None and not obs.noise.is_white:
+        raise ValueError("the direct likelihood routes need white noise; "
+                         "this observation was whitened against clutter")
+
+
 def path_loglik(theta: Position2D, obs: PathObservation,
                 waveforms: WaveformSet, layout: AntennaLayout,
                 path: int) -> float:
@@ -335,8 +345,7 @@ def path_loglik(theta: Position2D, obs: PathObservation,
     Out-of-window or zero-energy replicas yield 0 with a warning rather
     than an error so grid scans stay total.
     """
-    if not obs.whitened:
-        raise ValueError("observation must be whitened")
+    _check_white(obs)
     try:
         sv = steering_vector(waveforms, path, theta, layout)
     except ObservationWindowError:
@@ -435,8 +444,7 @@ def alpha_mle_isolated(theta: Position2D, obs: PathObservation,
                        waveforms: WaveformSet, layout: AntennaLayout,
                        path: int) -> complex:
     """Closed-form single-target MLE (s~^H r) / (s~^H s~)."""
-    if not obs.whitened:
-        raise ValueError("observation must be whitened")
+    _check_white(obs)
     sv = steering_vector(waveforms, path, theta, layout)
     e = sv.energy()
     if e <= 0.0:
@@ -448,8 +456,7 @@ def joint_path_loglik(thetas, obs: PathObservation, waveforms: WaveformSet,
                       layout: AntennaLayout, path: int) -> float:
     """Concentrated joint log-likelihood: half the squared norm of the
     projection of r onto the span of the candidate replicas."""
-    if not obs.whitened:
-        raise ValueError("observation must be whitened")
+    _check_white(obs)
     gram = gram_matrix(thetas, path, waveforms, layout)
     reps = np.stack([steering_vector(waveforms, path, th, layout).samples
                      for th in thetas], axis=1)

@@ -233,6 +233,7 @@ class PathObservation:
     path: int                  # flat (l, k) index
     r: np.ndarray              # (N_T,) complex
     whitened: bool = False
+    noise: NoiseModel | None = None   # what whiten whitened against
 
 
 @dataclass(frozen=True)
@@ -304,7 +305,8 @@ def build_waveform_set(n_waveforms: int, T: float, n_samples: int,
     bound = 0.0
     for i in range(n_waveforms):
         for j in range(i + 1, n_waveforms):
-            bound = max(bound, _max_crosscorr(samples[i], samples[j]))
+            bound = max(bound, _max_crosscorr(samples[i, :p],
+                                              samples[j, :p]))
     if bound > ORTH_BOUND:
         raise BandwidthError(
             f"insufficient bandwidth-time product: measured cross-correlation "
@@ -431,9 +433,9 @@ def whiten(obs: PathObservation, noise: NoiseModel) -> PathObservation:
             raise NoiseCovarianceError(
                 "invalid noise covariance: non-positive noise power")
         return PathObservation(path=obs.path, r=obs.r / np.sqrt(sigma_sq),
-                               whitened=True)
+                               whitened=True, noise=noise)
     r = noise.clutter_filter(len(obs.r), obs.path).solve(obs.r)
-    return PathObservation(path=obs.path, r=r, whitened=True)
+    return PathObservation(path=obs.path, r=r, whitened=True, noise=noise)
 
 
 def reference_energies(waveforms: WaveformSet, layout: AntennaLayout,

@@ -558,8 +558,9 @@ class TestJointSearch:
             joint_search(obs, coarse.cache, 2, 0.0)
 
     def test_small_blocks_match_one_block(self, coarse, monkeypatch):
-        # with JOINT_CHUNK = 64, each path's Gram is built one row per block
-        # and the pairs are scored in many chunks: same Gram, same result
+        # with JOINT_CHUNK = 64, each path's Gram is built one column per
+        # block and the pairs are scored in many chunks: same Gram, same
+        # result
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
         fld = objective_field(obs, coarse.cache)

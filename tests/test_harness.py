@@ -188,6 +188,15 @@ class TestLoadScenario:
         ("name", 5),
         ("output_dir", None),
         ("output_dir", 5),
+        ("layout", {"transceivers_km": [[-1.0, -1.0], [-1.0, -1.0]]}),
+        ("layout", {"transceivers_km": []}),
+        ("layout", {"tx_km": [], "rx_km": [[-1.0, -1.0]]}),
+        ("layout", {"tx_km": [[0.0, 0.0]],
+                    "rx_km": [[1.0, 1.0], [1.0, 1.0]]}),
+        # the targets' echoes end after the window
+        ("waveforms", dict(MINI["waveforms"], window_s=5e-5, samples=3201)),
+        # four pulses need more bandwidth than 40 samples give
+        ("waveforms", dict(MINI["waveforms"], samples=40)),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, key, value):
         path = write_mini(tmp_path, **{key: value})

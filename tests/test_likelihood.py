@@ -236,11 +236,16 @@ class TestReplicaInnerProducts:
     """The cache's tap-form inner products against the materialized
     replicas of gram_matrix."""
 
-    @pytest.mark.parametrize("setup_name", ["coarse", "two_antenna"])
+    @pytest.mark.parametrize("setup_name", ["coarse", "two_antenna", "tiny"])
     def test_random_pairs_match_gram_matrix(self, setup_name, request):
         setup = request.getfixturevalue(setup_name)
-        cache = setup.cache
-        usable = np.flatnonzero(~cache.out_of_window.any(axis=0))
+        cache, wf = setup.cache, setup.waveforms
+        # cells whose kernel support lies inside the window on every path
+        n0 = np.floor(cache.delays / wf.Ts).astype(int)
+        usable = np.flatnonzero(
+            ((n0 + cache.tap_offsets[0] >= 0)
+             & (n0 + cache.tap_offsets[-1] + wf.pulse_samples
+                <= wf.n_samples)).all(axis=0))
         rng = np.random.default_rng(12)
         for _ in range(40):
             p = int(rng.integers(setup.layout.n_paths))
@@ -251,14 +256,21 @@ class TestReplicaInnerProducts:
             got = cache.inner_products(p, np.array([[a], [b]]),
                                        np.array([[a, b]]))
             assert np.allclose(got, want, rtol=0, atol=1e-13)
+        # a pair whose gather bases lie pulse + 8 taps apart reads exactly 0
+        base = cache.gather_base[0, usable]
+        a, b = usable[np.argmin(base)], usable[np.argmax(base)]
+        assert base.max() - base.min() >= wf.pulse_samples + 8
+        assert cache.inner_products(0, a, b) == 0.0
 
-    def test_diagonal_is_cached_energy(self, coarse):
-        cells = np.arange(coarse.grid.n_cells)
-        for p in range(coarse.layout.n_paths):
-            e = coarse.cache.inner_products(p, cells, cells)
-            inside = ~coarse.cache.out_of_window[p]
-            assert np.array_equal(e.real[inside],
-                                  coarse.cache.energy[p, inside])
+    def test_diagonal_is_cached_energy(self, coarse, tiny):
+        # tiny: the replicas the window end clips included
+        for setup in (coarse, tiny):
+            cells = np.arange(setup.grid.n_cells)
+            for p in range(setup.layout.n_paths):
+                e = setup.cache.inner_products(p, cells, cells)
+                inside = ~setup.cache.out_of_window[p]
+                assert np.array_equal(e.real[inside],
+                                      setup.cache.energy[p, inside])
 
 
 class TestReachableLags:
@@ -407,6 +419,23 @@ class TestClutterGLRT:
             np.testing.assert_allclose(fld.cross[p, cells], cross,
                                        rtol=1e-8,
                                        atol=1e-10 * np.abs(cross).max())
+
+    def test_direct_routes_refuse_clutter(self, two_antenna):
+        # on R^-1 r the white statistics are not the GLRT the field reads
+        setup = two_antenna
+        noise = NoiseModel(sigma_sq=0.8, clutter=(0.9, 1.0))
+        scene = setup.scene([(4000.0, 5000.0)])
+        theta = setup.grid.cell_center(0)
+        for p in range(setup.layout.n_paths):
+            obs = whiten(synthesize_observation(
+                scene, setup.waveforms, noise, p,
+                np.random.default_rng(10 + p)), noise)
+            args = (obs, setup.waveforms, setup.layout, p)
+            for route in (path_loglik, alpha_mle_isolated):
+                with pytest.raises(ValueError, match="clutter"):
+                    route(theta, *args)
+            with pytest.raises(ValueError, match="clutter"):
+                joint_path_loglik([theta, setup.grid.cell_center(99)], *args)
 
 
 class TestGram:
