@@ -6,15 +6,11 @@ from . import _kernels
 from .errors import (BandwidthError, CoincidentDelayError, ConfigError,
                      NoiseCovarianceError, ObservationWindowError)
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
-                       SeparabilityReport, TargetTruth, bin_membership,
-                       bistatic_delay, classify_scene, footprint,
-                       pair_separable)
-from .signal import (NoiseModel, PathObservation, SteeringVector, WaveformSet,
+                       TargetTruth, bistatic_delay)
+from .signal import (NoiseModel, PathObservation, WaveformSet,
                      build_waveform_set, scale_alphas_for_snr,
-                     steering_vector, synthesize_observation, whiten)
-from .likelihood import (GramMatrix, ObjectiveField, ReplicaCache,
-                         alpha_mle_isolated, alpha_mle_joint, gram_matrix,
-                         joint_path_loglik, objective_field, path_loglik)
+                     synthesize_observation, whiten)
+from .likelihood import ObjectiveField, ReplicaCache, objective_field
 from .estimators import (Detection, DetectionReport, EstimatorConfig,
                          ThresholdConfig, calibrate_threshold, joint_search,
                          sic_modified_term, sic_run, sic_threshold, ssr_run)

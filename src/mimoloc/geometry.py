@@ -1,4 +1,4 @@
-"""Antenna/target geometry: bistatic delays, range bins, separability.
+"""Antenna/target geometry: bistatic delays and range bins.
 
 Conventions used throughout the package:
 
@@ -11,18 +11,11 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s, exact SI value
-
-ISOLATED = "isolated"
-PARTIALLY_SEPARABLE = "partially_separable"
-COMPLETELY_ISOLATED = "completely_isolated"
-MIXED = "mixed"
-EMPTY = "empty"
 
 
 @dataclass(frozen=True)
@@ -33,9 +26,6 @@ class Position2D:
     def __post_init__(self):
         if not (np.isfinite(self.x) and np.isfinite(self.y)):
             raise ValueError("position coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -143,7 +133,9 @@ class Grid:
             raise ValueError("cell size must be positive and finite")
         nx = (self.region.xmax - self.region.xmin) / self.cell
         ny = (self.region.ymax - self.region.ymin) / self.cell
-        if abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9:
+        # at least one cell each way, and a count that is a finite integer
+        if not (0.5 < nx < np.inf and 0.5 < ny < np.inf) or (
+                abs(nx - round(nx)) > 1e-9 or abs(ny - round(ny)) > 1e-9):
             raise ValueError("cell size must tile the region exactly")
         object.__setattr__(self, "nx", int(round(nx)))
         object.__setattr__(self, "ny", int(round(ny)))
@@ -170,20 +162,6 @@ class Grid:
         return iy * self.nx + ix
 
 
-@dataclass(frozen=True)
-class SeparabilityReport:
-    """Pairwise/per-path separability classification of a scene.
-
-    per_pair_per_path[g, j, l, k] is True when targets g and j are
-    separable over the lk-th path (symmetric in g, j; the diagonal is
-    False: a target is never separable from itself).
-    """
-
-    per_pair_per_path: np.ndarray
-    target_class: tuple[str, ...]
-    scene_class: str
-
-
 def bistatic_delay(target_pos: Position2D, tx: Position2D,
                    rx: Position2D) -> float:
     """Two-leg propagation delay target <- tx plus target -> rx, seconds."""
@@ -208,78 +186,5 @@ def grid_delays(grid: Grid, layout: AntennaLayout) -> np.ndarray:
     return out
 
 
-def pair_separable(tau_g: float, tau_j: float, tau_c: float) -> bool:
-    """Strict inequality: equal-to-one-pulse-width delay gaps do not separate."""
-    if not tau_c > 0:
-        raise ValueError("tau_c must be positive")
-    return bool(abs(tau_g - tau_j) > tau_c)
-
-
-def classify_scene(scene: Scene, tau_c: float) -> SeparabilityReport:
-    G = scene.n_targets
-    layout = scene.layout
-    M, N = layout.n_rx, layout.n_tx
-    sep = np.zeros((G, G, M, N), dtype=bool)
-    taus = np.empty((G, M, N))
-    for g, t in enumerate(scene.targets):
-        for _, l, k in layout.paths():
-            taus[g, l, k] = path_delay(layout, t.position, l, k)
-    for g, j in itertools.combinations(range(G), 2):
-        for _, l, k in layout.paths():
-            s = pair_separable(taus[g, l, k], taus[j, l, k], tau_c)
-            sep[g, j, l, k] = sep[j, g, l, k] = s
-
-    classes = []
-    for g in range(G):
-        others = [j for j in range(G) if j != g]
-        if all(sep[g, j].all() for j in others):
-            classes.append(ISOLATED)
-        else:
-            classes.append(PARTIALLY_SEPARABLE)
-
-    if G == 0:
-        scene_class = EMPTY
-    elif all(c == ISOLATED for c in classes):
-        scene_class = COMPLETELY_ISOLATED
-    else:
-        scene_class = MIXED
-    return SeparabilityReport(per_pair_per_path=sep,
-                              target_class=tuple(classes),
-                              scene_class=scene_class)
-
-
 def delay_bin(tau: float | np.ndarray, tau_c: float):
     return np.floor(tau / tau_c).astype(np.int64)
-
-
-def bin_membership(theta: Position2D, theta_hat: Position2D, tx: Position2D,
-                   rx: Position2D, tau_c: float) -> bool:
-    """True when theta falls within one range bin of theta_hat on this path.
-
-    The one-bin margin absorbs estimation error; the absolute value makes
-    it symmetric in the sign of that error.
-    """
-    if not tau_c > 0:
-        raise ValueError("tau_c must be positive")
-    b = delay_bin(bistatic_delay(theta, tx, rx), tau_c)
-    b_hat = delay_bin(bistatic_delay(theta_hat, tx, rx), tau_c)
-    return bool(abs(b - b_hat) <= 1)
-
-
-def footprint(theta_hat: Position2D, grid: Grid, layout: AntennaLayout,
-              tau_c: float, delays: np.ndarray | None = None):
-    """Range-bin footprint of an estimate on the grid.
-
-    Returns (per_path, union): per_path[p, c] is True when cell c shares
-    a range bin (within the one-bin margin) with theta_hat on path p;
-    union is the logical OR over paths.  The estimate's own cell belongs
-    to every per-path mask.
-    """
-    if delays is None:
-        delays = grid_delays(grid, layout)
-    bins = delay_bin(delays, tau_c)
-    hat_bins = np.empty(layout.n_paths, dtype=np.int64)
-    for p, l, k in layout.paths():
-        hat_bins[p] = delay_bin(path_delay(layout, theta_hat, l, k), tau_c)
-    per_path = np.abs(bins - hat_bins[:, None]) <= 1
-    return per_path, per_path.any(axis=0)

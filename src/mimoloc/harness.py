@@ -10,7 +10,8 @@ required unless marked optional, unknown keys rejected:
                              layout.rx_km as separate lists); nonempty,
                              positions pairwise distinct within a list
     region_km                [xmin, xmax, ymin, ymax] search rectangle
-    grid_cell_m              float, cell size in metres
+    grid_cell_m              float, cell size in metres; at least one cell
+                             each way, tiling the region exactly
     targets                  [{x_km, y_km, proportion}, ...] truth list;
                              proportion is the relative square modulus of
                              the reflection amplitudes; every path's echo
@@ -141,6 +142,15 @@ def check_number(value, where: str, positive: bool = False) -> float:
     return number
 
 
+def _check_km(value, where: str) -> float:
+    """A JSON number of kilometres, in metres; finite in metres too."""
+    metres = check_number(value, where) * 1e3
+    if not math.isfinite(metres):
+        raise ConfigError(f"{where} must be a finite distance, got "
+                          f"{value!r} km")
+    return metres
+
+
 def check_white_for_joint(algorithm: str, clutter, where: str) -> None:
     """The joint search runs on white noise only."""
     if algorithm == "joint" and clutter is not None:
@@ -162,8 +172,7 @@ def _positions_km(entries, where: str):
     for i, e in enumerate(entries):
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ConfigError(f"{where}[{i}]: expected [x_km, y_km]")
-        out.append(Position2D(*(check_number(v, f"{where}[{i}]") * 1e3
-                                for v in e)))
+        out.append(Position2D(*(_check_km(v, f"{where}[{i}]") for v in e)))
     return out
 
 
@@ -206,7 +215,7 @@ def load_scenario(path) -> ScenarioConfig:
     if not (isinstance(reg, list) and len(reg) == 4):
         raise ConfigError(f"{path}: region_km must be "
                           "[xmin, xmax, ymin, ymax]")
-    xmin, xmax, ymin, ymax = (check_number(v, f"{path}: region_km") * 1e3
+    xmin, xmax, ymin, ymax = (_check_km(v, f"{path}: region_km")
                               for v in reg)
     if not (xmin < xmax and ymin < ymax):
         raise ConfigError(f"{path}: region_km must have xmin < xmax and "
@@ -221,8 +230,7 @@ def load_scenario(path) -> ScenarioConfig:
     for i, t in enumerate(targets_raw):
         where = f"{path}: targets[{i}]"
         _reject_unknown(t, {"x_km", "y_km", "proportion"}, where)
-        p = Position2D(*(check_number(_require(t, key, where),
-                                      f"{where}: {key}") * 1e3
+        p = Position2D(*(_check_km(_require(t, key, where), f"{where}: {key}")
                          for key in ("x_km", "y_km")))
         if not region.contains(p):
             raise ConfigError(f"{where}: target outside region")

@@ -1,4 +1,4 @@
-"""Concentrated log-likelihoods, Gram matrices and the gridded objective.
+"""The replica cache and the gridded objective.
 
 All likelihood evaluation happens after whitening (signal.whiten).  With
 white noise the whitened noise covariance is the identity and the
@@ -6,24 +6,19 @@ replica energies are s^H s.  With AR(1) clutter the observations arrive
 as R^-1 r and the ReplicaCache built with that noise model holds the
 energies s^H R^-1 s, so the objective field is the GLRT
 |s^H R^-1 r|^2 / (2 s^H R^-1 s) and its alphas the colored-noise MLEs.
-The direct routes (path_loglik, gram_matrix, joint_path_loglik, the
-replica inner products and so the joint search) take R = I: white noise
-only, and path_loglik, alpha_mle_isolated and joint_path_loglik refuse
-an observation whitened against clutter.  The field and the joint
-search take the cache alone: it is the one description of the scenario
-(waveforms, layout, grid, noise).
+The replica inner products, and so the joint search, take R = I: white
+noise only.  The field and the joint search take the cache alone: it is
+the one description of the scenario (waveforms, layout, grid, noise).
 
 Every replica inner product reads one table of the cache, each pulse's
 autocorrelation ac(d): s~_a^H s~_b = sum_t sum_u h_t(a) h_u(b)
 ac(n_a - n_b + t - u) from the taps h and gather bases n, an 8 x 8
 Toeplitz form for the energies and 8 taps per Gram entry.
 
-Two evaluation routes exist on purpose.  path_loglik materialises the
-delayed replica and takes inner products directly; objective_field
-reaches the same numbers through one FFT cross-correlation per path
-plus the fractional-delay interpolation weights, which turns the
-per-cell work into an 8-tap gather (the hot kernel).  The tests hold
-the two routes to each other.
+objective_field evaluates every cell through one FFT cross-correlation
+per path plus the fractional-delay interpolation weights, which turns
+the per-cell work into an 8-tap gather (the hot kernel).  The tests hold
+it to the per-point oracles of mimoloc.reference.
 
 The correlation covers only the lags a path's gathers reach: each path
 correlates its own segment of the observation (the gather span plus
@@ -39,10 +34,8 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -58,33 +51,13 @@ _pool = None                 # map_paths' worker threads, made on first use
 _pool_lock = threading.Lock()
 
 from . import _kernels
-from .errors import CoincidentDelayError, ObservationWindowError
-from .geometry import AntennaLayout, Grid, Position2D, delay_bin, grid_delays, path_delay
-from .signal import (KERNEL_TAPS, NoiseModel, PathObservation, WaveformSet,
-                     delayed_replica, interp_taps, steering_vector)
+from .geometry import AntennaLayout, Grid, delay_bin, grid_delays
+from .signal import (KERNEL_TAPS, NoiseModel, WaveformSet, _replica_window,
+                     interp_taps)
 
-SINGULARITY_CONDITION = 1e8
 # grid tuples whose delays collide within one sample on some path are
 # excluded from the joint search
 SINGULARITY_TOL_SAMPLES = 1.0
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Replica inner products s~_g^H s~_j for one path (whitened)."""
-
-    values: np.ndarray          # (G, G) complex Hermitian
-    condition: float
-    delays: tuple[float, ...]   # per-target path delays, seconds
-    sample_interval: float
-
-    @property
-    def min_gap_samples(self) -> float:
-        d = np.asarray(self.delays)
-        if len(d) < 2:
-            return np.inf
-        gaps = np.abs(d[:, None] - d[None, :])[~np.eye(len(d), dtype=bool)]
-        return float(gaps.min() / self.sample_interval)
 
 
 class ObjectiveField:
@@ -222,16 +195,16 @@ class ReplicaCache:
         toeplitz = ac[:, n + p - 1 + t[:, None] - t]      # [k, t, u]
         energy = np.einsum("...t,...u,...tu->...", self.taps, self.taps,
                            toeplitz[self.path_tx, None]).real
-        # cells whose kernel support clips the window edge: evaluate directly
+        # cells whose kernel support clips the window edge: sum their span
         wf = self.waveforms
         interior_lo = -int(self.tap_offsets[0])
         interior_hi = (wf.n_samples - wf.pulse_samples
                        - int(self.tap_offsets[-1]))
         edge = (~self.out_of_window) & ((n0 < interior_lo) | (n0 > interior_hi))
         for pth, c in zip(*np.nonzero(edge)):
-            rep = delayed_replica(wf, int(self.path_tx[pth]),
-                                  float(self.delays[pth, c]))
-            energy[pth, c] = np.vdot(rep, rep).real
+            _, win = _replica_window(wf, int(self.path_tx[pth]),
+                                     float(self.delays[pth, c]))
+            energy[pth, c] = np.vdot(win, win).real
         return energy
 
     def _clutter_energies(self, n0):
@@ -259,8 +232,8 @@ class ReplicaCache:
         Gram matrix of the cells: sum_t h_t(a) Q_b(n_a - n_b + t), with
         Q_b(m) = sum_u h_u(b) ac(m - u) formed once per distinct b.  The
         diagonal (a == b) is the cached energy; other pairs are exact while
-        both replicas' kernel support stays inside the window (gram_matrix
-        is the oracle).  Unweighted: white noise only."""
+        both replicas' kernel support stays inside the window.  Unweighted:
+        white noise only."""
         n, p = KERNEL_TAPS, self.waveforms.pulse_samples
         reach = p + n - 1                  # Q_b(m) = 0 for |m| > reach
         b = np.asarray(b)
@@ -327,39 +300,6 @@ def map_paths(fn, n_paths: int, n_samples: int) -> list:
     return out
 
 
-def _check_white(obs: PathObservation) -> None:
-    """The direct routes take R = I: the observation must be whitened, and
-    not against clutter (R^-1 r would need s^H R^-1 s, which they lack)."""
-    if not obs.whitened:
-        raise ValueError("observation must be whitened")
-    if obs.noise is not None and not obs.noise.is_white:
-        raise ValueError("the direct likelihood routes need white noise; "
-                         "this observation was whitened against clutter")
-
-
-def path_loglik(theta: Position2D, obs: PathObservation,
-                waveforms: WaveformSet, layout: AntennaLayout,
-                path: int) -> float:
-    """Single-path concentrated log-likelihood 0.5 |s~^H r|^2 / (s~^H s~).
-
-    Out-of-window or zero-energy replicas yield 0 with a warning rather
-    than an error so grid scans stay total.
-    """
-    _check_white(obs)
-    try:
-        sv = steering_vector(waveforms, path, theta, layout)
-    except ObservationWindowError:
-        warnings.warn("candidate location outside observation window; "
-                      "log-likelihood defined as 0", stacklevel=2)
-        return 0.0
-    e = sv.energy()
-    if e <= 0.0:
-        warnings.warn("zero-energy replica; log-likelihood defined as 0",
-                      stacklevel=2)
-        return 0.0
-    return 0.5 * abs(np.vdot(sv.samples, obs.r)) ** 2 / e
-
-
 def objective_field(observations, cache: ReplicaCache) -> ObjectiveField:
     """Evaluate every path's log-likelihood on every grid cell and sum.
 
@@ -391,78 +331,6 @@ def objective_field(observations, cache: ReplicaCache) -> ObjectiveField:
     map_paths(gather, n_paths, obs_matrix.shape[1])
     return ObjectiveField(grid=cache.grid, per_path_ll=per_path_ll,
                           cross=cross, energy=cache.energy, bins=cache.bins)
-
-
-def gram_matrix(thetas, path: int, waveforms: WaveformSet,
-                layout: AntennaLayout) -> GramMatrix:
-    """Replica Gram matrix for a tuple of candidate locations on one path.
-
-    Singularity is reported through the condition estimate (and the
-    delay gaps), never raised here.
-    """
-    l, k = divmod(path, layout.n_tx)
-    delays = tuple(path_delay(layout, th, l, k) for th in thetas)
-    reps = [steering_vector(waveforms, path, th, layout).samples
-            for th in thetas]
-    g = len(reps)
-    values = np.empty((g, g), dtype=complex)
-    for i in range(g):
-        for j in range(i, g):
-            v = np.vdot(reps[i], reps[j])
-            values[i, j] = v
-            values[j, i] = np.conj(v)
-    cond = float(np.linalg.cond(values))
-    return GramMatrix(values=values, condition=cond, delays=delays,
-                      sample_interval=waveforms.Ts)
-
-
-def alpha_mle_joint(gram: GramMatrix, cross: np.ndarray) -> np.ndarray:
-    """Joint reflection-coefficient MLE: solve the normal equations
-    (S~^H S~) alpha = S~^H r.
-
-    Raises CoincidentDelayError when a delay pair collides within one
-    sample or the Gram matrix is numerically singular.
-    """
-    if (gram.min_gap_samples < SINGULARITY_TOL_SAMPLES
-            or not np.isfinite(gram.condition)
-            or gram.condition > SINGULARITY_CONDITION):
-        raise CoincidentDelayError(
-            "coincident delays; reflection coefficients unidentifiable "
-            f"(min gap {gram.min_gap_samples:.3g} samples, condition "
-            f"{gram.condition:.3g})")
-    alpha = np.linalg.solve(gram.values, cross)
-    denom = np.linalg.norm(cross)
-    if denom > 0:
-        residual = np.linalg.norm(gram.values @ alpha - cross) / denom
-        if residual > 1e-8:
-            raise CoincidentDelayError(
-                f"normal-equation residual {residual:.3g} exceeds 1e-8")
-    return alpha
-
-
-def alpha_mle_isolated(theta: Position2D, obs: PathObservation,
-                       waveforms: WaveformSet, layout: AntennaLayout,
-                       path: int) -> complex:
-    """Closed-form single-target MLE (s~^H r) / (s~^H s~)."""
-    _check_white(obs)
-    sv = steering_vector(waveforms, path, theta, layout)
-    e = sv.energy()
-    if e <= 0.0:
-        raise ValueError("zero-energy replica")
-    return complex(np.vdot(sv.samples, obs.r) / e)
-
-
-def joint_path_loglik(thetas, obs: PathObservation, waveforms: WaveformSet,
-                      layout: AntennaLayout, path: int) -> float:
-    """Concentrated joint log-likelihood: half the squared norm of the
-    projection of r onto the span of the candidate replicas."""
-    _check_white(obs)
-    gram = gram_matrix(thetas, path, waveforms, layout)
-    reps = np.stack([steering_vector(waveforms, path, th, layout).samples
-                     for th in thetas], axis=1)
-    cross = reps.conj().T @ obs.r
-    alpha = alpha_mle_joint(gram, cross)
-    return float(0.5 * np.real(np.vdot(cross, alpha)))
 
 
 # --- gridmap export -------------------------------------------------------

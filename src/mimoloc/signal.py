@@ -17,8 +17,8 @@ whitening hands the detectors R^-1 r (white noise: r / sigma).  Nothing
 dense is built for it: C^-1 is tridiagonal (Kac-Murdock-Szego), so
 R = L F L^T has a first-order innovations (Kalman) form, set up once per
 (N, sigma^2, rho, power) in O(N), and every draw, solve and replica
-energy is a first-order recursion.  covariance, exp_clutter_cov and
-whitening_matrix are the dense small-N oracle.
+energy is a first-order recursion.  The dense small-N oracle of these
+routes is in mimoloc.reference.
 """
 from __future__ import annotations
 
@@ -86,13 +86,6 @@ class NoiseModel:
     @property
     def is_white(self) -> bool:
         return self.clutter is None
-
-    def covariance(self, n_samples: int, path: int = 0) -> np.ndarray:
-        """Dense R = sigma^2 I + C (the small-N oracle)."""
-        r = self.path_sigma_sq(path) * np.eye(n_samples, dtype=complex)
-        if self.clutter is not None:
-            r = r + exp_clutter_cov(n_samples, *self.clutter)
-        return r
 
     def clutter_filter(self, n_samples: int, path: int = 0) -> ClutterFilter:
         """The innovations form of the path's R (cached per parameters)."""
@@ -236,22 +229,6 @@ class PathObservation:
     noise: NoiseModel | None = None   # what whiten whitened against
 
 
-@dataclass(frozen=True)
-class SteeringVector:
-    path: int
-    theta: Position2D
-    samples: np.ndarray
-
-    def energy(self) -> float:
-        return float(np.vdot(self.samples, self.samples).real)
-
-
-def exp_clutter_cov(n_samples: int, rho: float, power: float) -> np.ndarray:
-    """Exponentially correlated clutter covariance, C[i, j] = p * rho^|i-j|."""
-    idx = np.arange(n_samples)
-    return power * rho ** np.abs(idx[:, None] - idx[None, :]) + 0j
-
-
 def _tukey(n: int, alpha: float) -> np.ndarray:
     w = np.ones(n)
     edge = int(np.floor(alpha * (n - 1) / 2))
@@ -365,28 +342,6 @@ def _replica_window(waveforms: WaveformSet, k: int, tau: float):
     return span0 + lo, win[lo:hi]
 
 
-def delayed_replica(waveforms: WaveformSet, k: int, tau: float) -> np.ndarray:
-    """Waveform k delayed by tau seconds, zero before arrival.
-
-    tau + tau_c must stay inside the observation window so the full pulse
-    is captured.
-    """
-    start, win = _replica_window(waveforms, k, tau)
-    out = np.zeros(waveforms.n_samples, dtype=complex)
-    out[start: start + len(win)] = win
-    return out
-
-
-def steering_vector(waveforms: WaveformSet, path: int, theta: Position2D,
-                    layout: AntennaLayout) -> SteeringVector:
-    """Delayed replica of the path's transmit waveform for a candidate
-    location (the signal a unit target at theta would return)."""
-    l, k = divmod(path, layout.n_tx)
-    tau = path_delay(layout, theta, l, k)
-    return SteeringVector(path=path, theta=theta,
-                          samples=delayed_replica(waveforms, k, tau))
-
-
 def synthesize_observation(scene: Scene, waveforms: WaveformSet,
                            noise: NoiseModel, path: int,
                            rng: np.random.Generator) -> PathObservation:
@@ -403,20 +358,6 @@ def synthesize_observation(scene: Scene, waveforms: WaveformSet,
         r[start: start + len(win)] += alpha * win
     r += noise.sample(waveforms.n_samples, path, rng)
     return PathObservation(path=path, r=r, whitened=False)
-
-
-def whitening_matrix(noise: NoiseModel, n_samples: int,
-                     path: int = 0) -> np.ndarray:
-    """Hermitian inverse square root of the noise-plus-clutter covariance
-    (dense; the small-N oracle)."""
-    r = noise.covariance(n_samples, path)
-    if not np.allclose(r, r.conj().T):
-        raise NoiseCovarianceError("invalid noise covariance: not Hermitian")
-    vals, vecs = np.linalg.eigh(r)
-    if np.min(vals) <= 0:
-        raise NoiseCovarianceError(
-            "invalid noise covariance: not positive definite")
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
 
 
 def whiten(obs: PathObservation, noise: NoiseModel) -> PathObservation:
@@ -444,12 +385,11 @@ def reference_energies(waveforms: WaveformSet, layout: AntennaLayout,
     (M, N)."""
     out = np.empty((layout.n_rx, layout.n_tx))
     for p, l, k in layout.paths():
+        start, win = _replica_window(
+            waveforms, k, path_delay(layout, position, l, k))
         if noise.is_white:
-            sv = steering_vector(waveforms, p, position, layout)
-            out[l, k] = sv.energy() / noise.path_sigma_sq(p)
+            out[l, k] = np.vdot(win, win).real / noise.path_sigma_sq(p)
         else:
-            start, win = _replica_window(
-                waveforms, k, path_delay(layout, position, l, k))
             out[l, k] = noise.clutter_filter(waveforms.n_samples, p).energies(
                 win[:, None], np.array([start]))[0]
     return out

@@ -17,11 +17,11 @@ from mimoloc.estimators import (EstimatorConfig, ThresholdConfig,
 from mimoloc.geometry import Position2D, Scene, TargetTruth
 from mimoloc.harness import (RunContext, h0_alarm_rate, load_scenario,
                              run_trial)
-from mimoloc.likelihood import (GramMatrix, alpha_mle_joint, gram_matrix,
-                                objective_field)
+from mimoloc.likelihood import objective_field
+from mimoloc.reference import (GramMatrix, alpha_mle_joint, delayed_replica,
+                               gram_matrix, whitening_matrix)
 from mimoloc.signal import (NoiseModel, PathObservation, build_waveform_set,
-                            delayed_replica, synthesize_observation, whiten,
-                            whitening_matrix)
+                            synthesize_observation, whiten)
 
 from conftest import SmallSetup, config_path
 
@@ -167,7 +167,7 @@ class TestCriterion5:
         zero_thr = ThresholdConfig(lambda_prime=0.0, pfa=0.1)
         rng = np.random.default_rng(55)
         wins, isolated_count, mixed_count = 0, 0, 0
-        from mimoloc.geometry import classify_scene, COMPLETELY_ISOLATED
+        from mimoloc.reference import classify_scene, COMPLETELY_ISOLATED
         for trial in range(100):
             g = int(rng.integers(2, 4))
             pts = []

@@ -12,12 +12,12 @@ from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 peak_quantile, sic_modified_term, sic_run,
                                 sic_threshold, ssr_run)
 from mimoloc.geometry import Grid, Rect
-from mimoloc.likelihood import (ObjectiveField, ReplicaCache,
-                                alpha_mle_joint, gram_matrix,
-                                joint_path_loglik, objective_field)
+from mimoloc.likelihood import ObjectiveField, ReplicaCache, objective_field
+from mimoloc.reference import (alpha_mle_joint, gram_matrix,
+                               joint_path_loglik, steering_vector)
 from mimoloc.signal import (NoiseModel, PathObservation,
-                            scale_alphas_for_snr, steering_vector,
-                            synthesize_observation, whiten)
+                            scale_alphas_for_snr, synthesize_observation,
+                            whiten)
 from mimoloc.streams import TAG_SCENE, substream
 
 
@@ -382,7 +382,7 @@ class TestJointSearch:
                                      replace=False).tolist()) | {c1, c2})
         reps = {c: [steering_vector(coarse.waveforms, p,
                                     coarse.grid.cell_center(c),
-                                    coarse.layout).samples
+                                    coarse.layout)
                     for p in range(coarse.layout.n_paths)]
                 for c in cand}
         ts = coarse.waveforms.Ts
@@ -420,7 +420,7 @@ class TestJointSearch:
         n = setup.grid.n_cells
         reps = [np.stack([steering_vector(setup.waveforms, p,
                                           setup.grid.cell_center(c),
-                                          setup.layout).samples
+                                          setup.layout)
                           for p in range(setup.layout.n_paths)])
                 for c in range(n)]
         ts = setup.waveforms.Ts
@@ -501,7 +501,7 @@ class TestJointSearch:
         thetas = [d.location for d in report.detections]
         for p in range(coarse.layout.n_paths):
             reps = np.stack([steering_vector(coarse.waveforms, p, th,
-                                             coarse.layout).samples
+                                             coarse.layout)
                              for th in thetas], axis=1)
             want = alpha_mle_joint(
                 gram_matrix(thetas, p, coarse.waveforms, coarse.layout),
@@ -627,7 +627,7 @@ class TestJointPathStatistic:
             for t, value, alpha in zip(tuples, values, alphas):
                 thetas = [coarse.grid.cell_center(c) for c in t]
                 reps = np.stack([steering_vector(coarse.waveforms, p, th,
-                                                 coarse.layout).samples
+                                                 coarse.layout)
                                  for th in thetas], axis=1)
                 want_alpha = alpha_mle_joint(
                     gram_matrix(thetas, p, coarse.waveforms, coarse.layout),

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from mimoloc.geometry import (COMPLETELY_ISOLATED, EMPTY, ISOLATED, MIXED,
-                              PARTIALLY_SEPARABLE, SPEED_OF_LIGHT,
-                              AntennaLayout, Grid, Position2D, Rect, Scene,
-                              TargetTruth, bin_membership, bistatic_delay,
-                              classify_scene, footprint, grid_delays,
-                              pair_separable)
+from mimoloc.geometry import (SPEED_OF_LIGHT, AntennaLayout, Grid,
+                              Position2D, Rect, Scene, TargetTruth,
+                              bistatic_delay, grid_delays)
+from mimoloc.reference import (COMPLETELY_ISOLATED, EMPTY, ISOLATED, MIXED,
+                               PARTIALLY_SEPARABLE, bin_membership,
+                               classify_scene, footprint, pair_separable)
 from mimoloc.harness import load_scenario
 
 from conftest import config_path

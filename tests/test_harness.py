@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from mimoloc.errors import ConfigError
 from mimoloc.estimators import Detection, DetectionReport
@@ -44,6 +45,32 @@ MINI = {
 
 
 CLUTTER = {"sigma_sq": 1.0, "clutter": {"rho": 0.9, "power": 1.0}}
+
+
+def leaves(node, at=()):
+    """Key paths of every scalar in a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else None)
+    if items is None:
+        return [at]
+    return [leaf for key, child in items
+            for leaf in leaves(child, at + (key,))]
+
+
+# a valid config with every kind of field, clutter included
+FUZZ_BASE = dict(MINI, noise=CLUTTER, algorithm="sic")
+FUZZ_LEAVES = leaves(FUZZ_BASE)
+# the edge values as a branch of their own, so that each is drawn often
+JSON_EDGES = st.sampled_from([None, True, False, "", 0, 1, -1, 0.5, 1e-300,
+                              5e-324, 1e306, -1e306, 1.7976931348623157e308,
+                              10 ** 400, -10 ** 400, [], {}])
+JSON_VALUES = st.one_of(JSON_EDGES, st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.integers(-10 ** 400, 10 ** 400)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6))
 
 
 def write_mini(tmp_path, **overrides):
@@ -197,11 +224,38 @@ class TestLoadScenario:
         ("waveforms", dict(MINI["waveforms"], window_s=5e-5, samples=3201)),
         # four pulses need more bandwidth than 40 samples give
         ("waveforms", dict(MINI["waveforms"], samples=40)),
+        # finite in km, infinite in metres
+        ("targets", [{"x_km": 1e306, "y_km": 1.1, "proportion": 1.0}]),
+        ("layout", {"transceivers_km": [[1e306, 0.0], [13.0, -2.0]]}),
+        ("region_km", [0.0, 1e306, 0.0, 10.0]),
+        # infinitely many cells, or none
+        ("grid_cell_m", 5e-324),
+        ("grid_cell_m", 1e308),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, key, value):
         path = write_mini(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=key):
             load_scenario(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(leaf=st.sampled_from(FUZZ_LEAVES), value=JSON_VALUES)
+    def test_one_leaf_fuzz_loads_or_config_error(self, tmp_path, leaf, value):
+        # a valid sample count allocates the waveform set at load, so
+        # counts above 10^5 are left out (10^12 raises MemoryError)
+        assume(leaf[-1] != "samples" or isinstance(value, bool)
+               or not isinstance(value, (int, float)) or value <= 1e5)
+        cfg = json.loads(json.dumps(FUZZ_BASE))
+        node = cfg
+        for key in leaf[:-1]:
+            node = node[key]
+        node[leaf[-1]] = value
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(json.dumps(cfg))
+        try:
+            load_scenario(str(path))
+        except ConfigError:
+            pass
 
     def test_joint_with_clutter_fails_at_load(self, tmp_path):
         path = write_mini(tmp_path, algorithm="joint", noise=CLUTTER)

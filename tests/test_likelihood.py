@@ -11,14 +11,14 @@ from mimoloc.errors import CoincidentDelayError
 from mimoloc.estimators import h0_objective_peaks
 from mimoloc.geometry import AntennaLayout, Grid, Position2D, Rect
 from mimoloc.likelihood import (COMBINED_FIELD_ID, ReplicaCache,
-                                alpha_mle_isolated, alpha_mle_joint,
-                                gram_matrix, joint_path_loglik,
                                 load_gridmap_binary, objective_field,
-                                path_loglik, save_gridmap_binary,
-                                save_gridmap_csv)
+                                save_gridmap_binary, save_gridmap_csv)
+from mimoloc.reference import (alpha_mle_isolated, alpha_mle_joint,
+                               covariance, delayed_replica, gram_matrix,
+                               joint_path_loglik, path_loglik,
+                               steering_vector)
 from mimoloc.signal import (NoiseModel, PathObservation, WaveformSet,
-                            build_waveform_set, delayed_replica,
-                            steering_vector, synthesize_observation, whiten)
+                            build_waveform_set, synthesize_observation, whiten)
 
 
 def wobs(path, r):
@@ -53,8 +53,8 @@ class TestPathLoglik:
         theta = small.grid.cell_center(10)
         sv = steering_vector(small.waveforms, 0, theta, small.layout)
         rng = np.random.default_rng(3)
-        r = rng.standard_normal(len(sv.samples)) * (1 + 0j)
-        r -= sv.samples * (np.vdot(sv.samples, r) / sv.energy())
+        r = rng.standard_normal(len(sv)) * (1 + 0j)
+        r -= sv * (np.vdot(sv, r) / np.vdot(sv, sv).real)
         obs = wobs(0, r)
         val = path_loglik(theta, obs, small.waveforms, small.layout, 0)
         assert val == pytest.approx(0.0, abs=1e-16 * np.vdot(r, r).real)
@@ -205,7 +205,7 @@ class TestObjectiveField:
 
     def test_footprint_matches_geometry_route(self, small):
         # the field's cached-bin footprint equals the geometry module's
-        from mimoloc.geometry import footprint
+        from mimoloc.reference import footprint
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
         fld = objective_field(obs, small.cache)
@@ -394,7 +394,7 @@ class TestClutterGLRT:
     def test_energies_match_dense(self, tiny, rho):
         noise = NoiseModel(sigma_sq=0.7, clutter=(rho, 1.3))
         cache = ReplicaCache(tiny.waveforms, tiny.layout, tiny.grid, noise)
-        r_inv = np.linalg.inv(noise.covariance(tiny.waveforms.n_samples))
+        r_inv = np.linalg.inv(covariance(noise, tiny.waveforms.n_samples))
         cells, energy, _ = self.dense_terms(tiny, 0, r_inv, np.zeros(64))
         np.testing.assert_allclose(cache.energy[0, cells], energy,
                                    rtol=1e-10)
@@ -409,7 +409,7 @@ class TestClutterGLRT:
                                       np.random.default_rng(10 + p))
                for p in range(setup.layout.n_paths)]
         fld = objective_field([whiten(o, noise) for o in raw], cache)
-        r_inv = np.linalg.inv(noise.covariance(setup.waveforms.n_samples))
+        r_inv = np.linalg.inv(covariance(noise, setup.waveforms.n_samples))
         for p, obs in enumerate(raw):
             cells, energy, cross = self.dense_terms(setup, p, r_inv,
                                                     r_inv @ obs.r)
@@ -474,7 +474,7 @@ class TestAlphaMLE:
     def replica(self, small, cell, path):
         return steering_vector(small.waveforms, path,
                                small.grid.cell_center(cell),
-                               small.layout).samples
+                               small.layout)
 
     def test_single_target_noise_free_exact(self, small):
         alpha = 1.5 - 2.5j
@@ -532,7 +532,7 @@ class TestAlphaMLE:
 
     def test_isolated_matches_direct_formula(self, small, rng):
         theta = small.grid.cell_center(33)
-        s = steering_vector(small.waveforms, 2, theta, small.layout).samples
+        s = steering_vector(small.waveforms, 2, theta, small.layout)
         r = rng.standard_normal(len(s)) + 1j * rng.standard_normal(len(s))
         got = alpha_mle_isolated(theta, wobs(2, r), small.waveforms,
                                  small.layout, 2)
@@ -541,7 +541,7 @@ class TestAlphaMLE:
 
     def test_isolated_trivials(self, small):
         theta = small.grid.cell_center(33)
-        s = steering_vector(small.waveforms, 2, theta, small.layout).samples
+        s = steering_vector(small.waveforms, 2, theta, small.layout)
         alpha = -0.3 + 1.9j
         got = alpha_mle_isolated(theta, wobs(2, alpha * s), small.waveforms,
                                  small.layout, 2)
@@ -568,10 +568,10 @@ class TestJointPathLoglik:
         c1, c2 = 40, 42
         s1 = steering_vector(small.waveforms, 1,
                              small.grid.cell_center(c1),
-                             small.layout).samples
+                             small.layout)
         s2 = steering_vector(small.waveforms, 1,
                              small.grid.cell_center(c2),
-                             small.layout).samples
+                             small.layout)
         r = (1.0 - 0.5j) * s1 + (0.3 + 0.4j) * s2
         got = joint_path_loglik([small.grid.cell_center(c1),
                                  small.grid.cell_center(c2)],
@@ -583,7 +583,7 @@ class TestJointPathLoglik:
         c1, c2 = 40, 41
         thetas = [small.grid.cell_center(c) for c in (c1, c2)]
         reps = np.stack(
-            [steering_vector(small.waveforms, 1, th, small.layout).samples
+            [steering_vector(small.waveforms, 1, th, small.layout)
              for th in thetas], axis=1)
         for _ in range(5):
             r = rng.standard_normal(len(reps)) + \

@@ -4,11 +4,12 @@ import pytest
 from mimoloc.errors import (BandwidthError, NoiseCovarianceError,
                             ObservationWindowError)
 from mimoloc.geometry import AntennaLayout, Position2D, Rect, Scene, TargetTruth
+from mimoloc.reference import (covariance, delayed_replica, exp_clutter_cov,
+                               steering_vector, whitening_matrix)
 from mimoloc.signal import (NoiseModel, PathObservation, build_waveform_set,
-                            delayed_replica, exp_clutter_cov, interp_taps,
-                            reference_energies, scale_alphas_for_snr,
-                            steering_vector, synthesize_observation, whiten,
-                            whitening_matrix)
+                            interp_taps, reference_energies,
+                            scale_alphas_for_snr, synthesize_observation,
+                            whiten)
 
 
 def max_xcorr_all_lags(a, b):
@@ -87,7 +88,7 @@ class TestSteeringVector:
     def test_zero_delay_is_exact_copy(self):
         wf = build_waveform_set(1, 4e-5, 5121, 5e-7)
         sv = steering_vector(wf, 0, Position2D(500.0, 500.0), self.LAYOUT)
-        assert np.array_equal(sv.samples, wf.samples[0])
+        assert np.array_equal(sv, wf.samples[0])
 
     def test_integer_shift(self):
         wf = build_waveform_set(1, 4e-5, 5121, 5e-7)
@@ -156,7 +157,7 @@ class TestSynthesize:
                                      np.random.default_rng(0))
         sv = steering_vector(self.WF, 1, Position2D(4000.0, 3000.0),
                              scene.layout)
-        assert np.allclose(obs.r, 2.0 * sv.samples, atol=1e-12)
+        assert np.allclose(obs.r, 2.0 * sv, atol=1e-12)
 
     def test_superposition(self):
         a1, a2 = 1.3 - 0.4j, -0.7 + 2.2j
@@ -243,7 +244,7 @@ class TestClutterOracle:
         rng = np.random.default_rng(3)
         r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         out = whiten(PathObservation(path=0, r=r), noise)
-        ref = np.linalg.solve(noise.covariance(n), r)
+        ref = np.linalg.solve(covariance(noise, n), r)
         assert out.whitened
         assert np.linalg.norm(out.r - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -257,7 +258,7 @@ class TestClutterOracle:
         win = (rng.standard_normal((len(start), w))
                + 1j * rng.standard_normal((len(start), w)))
         got = noise.clutter_filter(n).energies(win.T, start)
-        r_inv = np.linalg.inv(noise.covariance(n))
+        r_inv = np.linalg.inv(covariance(noise, n))
         pad = 2 * w
         for m in range(len(start)):
             s = np.zeros(n + 2 * pad, dtype=complex)
@@ -266,16 +267,20 @@ class TestClutterOracle:
             assert got[m] == pytest.approx(np.vdot(s, r_inv @ s).real,
                                            rel=1e-10, abs=1e-300)
 
-    @pytest.mark.parametrize("rho", RHOS)
+    # rho None: white noise, no clutter
+    @pytest.mark.parametrize("rho", RHOS + [None])
     def test_reference_energies_are_dense_quadratic_form(self, tiny, rho):
-        noise = self.noise(rho)
-        r_inv = np.linalg.inv(noise.covariance(tiny.waveforms.n_samples))
+        noise = NoiseModel(sigma_sq=0.7) if rho is None else self.noise(rho)
+        r_inv = np.linalg.inv(covariance(noise, tiny.waveforms.n_samples))
         for c in np.flatnonzero(~tiny.cache.out_of_window[0]):
             pos = tiny.grid.cell_center(int(c))
-            s = steering_vector(tiny.waveforms, 0, pos, tiny.layout).samples
+            s = steering_vector(tiny.waveforms, 0, pos, tiny.layout)
             got = reference_energies(tiny.waveforms, tiny.layout, noise, pos)
             assert got[0, 0] == pytest.approx(np.vdot(s, r_inv @ s).real,
                                               rel=1e-10)
+            # the white cache, window-clipped replicas included
+            assert tiny.cache.energy[0, c] == pytest.approx(
+                np.vdot(s, s).real, rel=1e-12)
 
     @pytest.mark.parametrize("rho", RHOS)
     def test_ar1_draw_covariance(self, rho):
