@@ -1,6 +1,7 @@
 """Objective-field hot loop: the per-cell 8-tap gather over one path's
-matched-filter correlation, in numpy."""
+matched-filter correlation, as one CSR sparse product (numpy, scipy)."""
 import numpy as np
+import scipy.sparse
 
 BACKEND = "numpy"
 
@@ -18,9 +19,13 @@ def path_objective(corr, n0, taps, energy, cross_out, ll_out):
     cross_out, ll_out: (n_cells,) outputs; cross = s~^H r and
              ll = 0.5 |cross|^2 / energy (0 where energy is 0).
     """
-    cross_out[:] = 0
-    for t in range(taps.shape[1]):     # corr[t:][n0] is corr[n0 + t]
-        cross_out += taps[:, t] * corr[t:][n0]
+    # row c holds taps[c] at columns n0[c] + t; the product sums in tap order
+    cols = n0[:, None] + np.arange(taps.shape[1], dtype=np.int32)
+    rows = np.arange(0, taps.size + 1, taps.shape[1], dtype=np.int32)
+    op = scipy.sparse.csr_matrix((taps.ravel(), cols.ravel(), rows),
+                                 shape=(len(n0), len(corr)))
+    cross_out.view(float).reshape(-1, 2)[:] = op @ corr.view(float).reshape(
+        -1, 2)
     np.multiply(cross_out.real, cross_out.real, out=ll_out)
     ll_out += cross_out.imag * cross_out.imag
     with np.errstate(divide="ignore", invalid="ignore"):

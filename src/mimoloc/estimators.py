@@ -21,7 +21,7 @@ from .geometry import AntennaLayout, Grid, Position2D, Scene
 from .likelihood import (SINGULARITY_TOL_SAMPLES, ObjectiveField,
                          ReplicaCache, map_paths, objective_field)
 from .signal import (NoiseModel, WaveformSet, synthesize_observation,
-                     whiten)
+                     white_sigma_sq, whiten)
 from .streams import TAG_CALIBRATION, substream
 
 # most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
@@ -133,16 +133,35 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
                        grid: Grid, noise: NoiseModel, trials: int, seed: int,
                        cache: ReplicaCache | None = None,
                        tag: int = TAG_CALIBRATION) -> np.ndarray:
-    """Grid peaks of the objective under the noise-only hypothesis."""
+    """Grid peaks of the objective under the noise-only hypothesis.  The
+    cache, if given, must be built with this noise model."""
     if cache is None:
         cache = ReplicaCache(waveforms, layout, grid, noise)
+    elif not (noise.clutter == cache.noise.clutter
+              and np.array_equal(noise.sigma_sq, cache.noise.sigma_sq)):
+        raise ValueError("noise differs from the noise model of the cache")
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
-        obs = whitened_observations(empty, waveforms, noise, seed, tag, t)
-        fld = objective_field(obs, cache)
-        peaks[t] = fld.combined.max()
+        obs = (white_h0_segments(cache, seed, tag, t) if noise.is_white else
+               whitened_observations(empty, waveforms, noise, seed, tag, t))
+        peaks[t] = objective_field(obs, cache).combined.max()
     return peaks
+
+
+def white_h0_segments(cache: ReplicaCache, seed: int, tag: int,
+                      trial: int) -> np.ndarray:
+    """Segment matrix of a white H0 trial: whitened noise is i.i.d. CN(0, 1),
+    drawn straight into each path's row from stream (seed, tag, trial, p)."""
+    segments = np.zeros((len(cache.segment), cache.nfft), dtype=complex)
+
+    def draw(p):
+        white_sigma_sq(cache.noise, p)      # whiten's refusal
+        row = segments[p, cache.segment_slices[p][0]].view(float)
+        substream(seed, tag, trial, p).standard_normal(out=row)
+        row *= np.sqrt(0.5)
+    map_paths(draw, len(segments), cache.waveforms.n_samples)
+    return segments
 
 
 def whitened_observations(scene: Scene, waveforms: WaveformSet,

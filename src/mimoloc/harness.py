@@ -202,10 +202,11 @@ def load_scenario(path) -> ScenarioConfig:
                     f"{path}: layout")
     if "transceivers_km" in lay:
         tx = rx = _positions_km(lay["transceivers_km"],
-                                "layout.transceivers_km")
+                                f"{path}: layout.transceivers_km")
     else:
-        tx = _positions_km(_require(lay, "tx_km", "layout"), "layout.tx_km")
-        rx = _positions_km(_require(lay, "rx_km", "layout"), "layout.rx_km")
+        tx, rx = (_positions_km(_require(lay, key, f"{path}: layout"),
+                                f"{path}: layout.{key}")
+                  for key in ("tx_km", "rx_km"))
     try:
         layout = AntennaLayout(tx=tuple(tx), rx=tuple(rx))
     except ValueError as exc:        # empty or repeated positions
@@ -243,7 +244,7 @@ def load_scenario(path) -> ScenarioConfig:
     _reject_unknown(wf, {"window_s", "samples", "pulse_width_s"},
                     f"{path}: waveforms")
     window, pulse_width = (
-        check_number(_require(wf, key, "waveforms"),
+        check_number(_require(wf, key, f"{path}: waveforms"),
                      f"{path}: waveforms.{key}", positive=True)
         for key in ("window_s", "pulse_width_s"))
     if pulse_width > window:
@@ -255,7 +256,8 @@ def load_scenario(path) -> ScenarioConfig:
     if noise_raw.get("clutter") is not None:
         cl = noise_raw["clutter"]
         _reject_unknown(cl, {"rho", "power"}, f"{path}: noise.clutter")
-        rho, power = (check_number(_require(cl, key, "noise.clutter"),
+        rho, power = (check_number(_require(cl, key,
+                                            f"{path}: noise.clutter"),
                                    f"{path}: noise.clutter.{key}",
                                    positive=key == "power")
                       for key in ("rho", "power"))
@@ -294,10 +296,11 @@ def load_scenario(path) -> ScenarioConfig:
         target_positions=tuple(targets),
         proportions=tuple(proportions),
         window=window,
-        n_samples=check_int(_require(wf, "samples", "waveforms"),
+        n_samples=check_int(_require(wf, "samples", f"{path}: waveforms"),
                             f"{path}: waveforms.samples", 2),
         pulse_width=pulse_width,
-        sigma_sq=check_number(_require(noise_raw, "sigma_sq", "noise"),
+        sigma_sq=check_number(_require(noise_raw, "sigma_sq",
+                                       f"{path}: noise"),
                               f"{path}: noise.sigma_sq", positive=True),
         clutter=clutter,
         snr_db=tuple(snr),

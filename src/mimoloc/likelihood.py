@@ -20,15 +20,15 @@ per path plus the fractional-delay interpolation weights, which turns
 the per-cell work into an 8-tap gather (the hot kernel).  The tests hold
 it to the per-point oracles of mimoloc.reference.
 
-The correlation covers only the lags a path's gathers reach: each path
-correlates its own segment of the observation (the gather span plus
-the pulse), all paths in one batched FFT at the longest segment's
-length, and the cache's gather bases index that segment-local result.
+The correlation covers only the lags a path's gathers reach: each path's
+segment of the observation (gather span plus pulse) is one row of a
+matrix that white noise-only trials draw straight into, transformed in
+place in one batched FFT; the cache's gather bases index the result.
 On windows of at least THREAD_MIN_SAMPLES samples the per-path work of
-a trial (noise synthesis, whitening, the gather) runs as one block of
-paths per worker thread (map_paths); numpy releases the GIL in the
-draws and the gather, and every path's result depends on that path
-alone, so the bytes do not depend on the thread count.
+a trial (noise synthesis or draw, whitening, the gather) runs as one
+block of paths per worker thread (map_paths); numpy and scipy release
+the GIL in the draws and the sparse gather, and every path's result
+depends on that path alone, so the bytes do not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -124,7 +124,9 @@ class ReplicaCache:
 
     Path p's in-window gathers read the correlation lags lag_start[p]
     onwards, which depend on the observation samples lag_start[p] ..
-    lag_start[p] + segment[p] - 1 (samples outside the window are 0).
+    lag_start[p] + segment[p] - 1 (samples outside the window are 0);
+    segment_slices[p] is the (row, window) slice pair that puts them in
+    row p of the zeroed (n_paths, nfft) input of correlate_all.
     gather_base[p, c] is the first lag cell c reads, counted from
     lag_start[p]: an index into row p of correlate_all.  nfft, the
     length of every correlated row, is the fast FFT length of the longest
@@ -165,6 +167,10 @@ class ReplicaCache:
         lo[unused], hi[unused] = 0, KERNEL_TAPS
         self.lag_start = lo
         self.segment = hi - lo + waveforms.pulse_samples - 1
+        self.segment_slices = [
+            (slice(a - s, b - s), slice(a, b)) for s, a, b in zip(
+                lo, np.maximum(lo, 0),
+                np.minimum(lo + self.segment, waveforms.n_samples))]
         self.gather_base = np.where(inside, lag0 - lo[:, None],
                                     0).astype(np.int32)
 
@@ -255,18 +261,12 @@ class ReplicaCache:
 
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
         """Cross-correlation of each path's observation with its pulse at
-        the lags its gathers reach, all paths in one batched FFT.
-        obs_matrix is (n_paths, N_T) ordered by flat path index; returns
-        (n_paths, nfft) whose row p holds corr[lag_start[p] + j] at j,
-        corr[m] = sum_n conj(s[n - m]) r[n], for every lag a gather_base
-        of path p reaches."""
-        n = obs_matrix.shape[1]
-        buf = np.zeros((len(obs_matrix), self.nfft), dtype=complex)
-        for row, r, lo, seg in zip(buf, obs_matrix, self.lag_start,
-                                   self.segment):
-            a, b = max(lo, 0), min(lo + seg, n)
-            row[a - lo: b - lo] = r[a:b]
-        spec = scipy.fft.fft(buf, axis=1, workers=_FFT_WORKERS,
+        the lags its gathers reach, all paths in one batched FFT, in place
+        on obs_matrix, the (n_paths, nfft) segment matrix (segment_slices)
+        ordered by flat path index; returns it with row p holding
+        corr[lag_start[p] + j] at j, corr[m] = sum_n conj(s[n - m]) r[n],
+        for every lag a gather_base of path p reaches."""
+        spec = scipy.fft.fft(obs_matrix, axis=1, workers=_FFT_WORKERS,
                              overwrite_x=True)
         spec *= self.path_fft_conj
         return scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS,
@@ -303,32 +303,37 @@ def map_paths(fn, n_paths: int, n_samples: int) -> list:
 def objective_field(observations, cache: ReplicaCache) -> ObjectiveField:
     """Evaluate every path's log-likelihood on every grid cell and sum.
 
-    observations: iterable of whitened PathObservation covering every
-    path of the cache's layout exactly once.  The cache, built with the
-    noise model, supplies the replica energies; the field shares its
-    energy and bins arrays.
+    observations: whitened PathObservations, one per path of the cache's
+    layout, or a filled segment matrix (cache.segment_slices), which is
+    overwritten.  The cache, built with the noise model, supplies the
+    replica energies; the field shares its energy and bins arrays.
     """
-    obs_by_path = {}
-    for o in observations:
-        if not o.whitened:
-            raise ValueError("all observations must be whitened")
-        if o.path in obs_by_path:
-            raise ValueError(f"duplicate observation for path {o.path}")
-        obs_by_path[o.path] = o
     n_paths, n_cells = cache.energy.shape
-    if sorted(obs_by_path) != list(range(n_paths)):
-        raise ValueError("need exactly one observation per path")
+    if isinstance(observations, np.ndarray):
+        segments = observations
+    else:
+        obs_by_path = {}
+        for o in observations:
+            if not o.whitened:
+                raise ValueError("all observations must be whitened")
+            if o.path in obs_by_path:
+                raise ValueError(f"duplicate observation for path {o.path}")
+            obs_by_path[o.path] = o
+        if sorted(obs_by_path) != list(range(n_paths)):
+            raise ValueError("need exactly one observation per path")
+        segments = np.zeros((n_paths, cache.nfft), dtype=complex)
+        for p, (row, window) in enumerate(cache.segment_slices):
+            segments[p, row] = obs_by_path[p].r[window]
+    corr = cache.correlate_all(segments)
 
     per_path_ll = np.empty((n_paths, n_cells))
     cross = np.empty((n_paths, n_cells), dtype=complex)
-    obs_matrix = np.stack([obs_by_path[p].r for p in range(n_paths)])
-    corr = cache.correlate_all(obs_matrix)
 
     def gather(p):
         _kernels.path_objective(corr[p], cache.gather_base[p], cache.taps[p],
                                 cache.energy[p], cross[p], per_path_ll[p])
 
-    map_paths(gather, n_paths, obs_matrix.shape[1])
+    map_paths(gather, n_paths, cache.waveforms.n_samples)
     return ObjectiveField(grid=cache.grid, per_path_ll=per_path_ll,
                           cross=cross, energy=cache.energy, bins=cache.bins)
 

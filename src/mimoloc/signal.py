@@ -360,6 +360,14 @@ def synthesize_observation(scene: Scene, waveforms: WaveformSet,
     return PathObservation(path=path, r=r, whitened=False)
 
 
+def white_sigma_sq(noise: NoiseModel, path: int) -> float:
+    """A path's white noise power, refused unless positive."""
+    if (sigma_sq := noise.path_sigma_sq(path)) <= 0:
+        raise NoiseCovarianceError(
+            "invalid noise covariance: non-positive noise power")
+    return sigma_sq
+
+
 def whiten(obs: PathObservation, noise: NoiseModel) -> PathObservation:
     """Prepare an observation for the matched filter.  White noise: r /
     sigma, unit-covariance noise, matched with the plain replica energy
@@ -369,10 +377,7 @@ def whiten(obs: PathObservation, noise: NoiseModel) -> PathObservation:
     if obs.whitened:
         raise ValueError("observation already whitened")
     if noise.is_white:
-        sigma_sq = noise.path_sigma_sq(obs.path)
-        if sigma_sq <= 0:
-            raise NoiseCovarianceError(
-                "invalid noise covariance: non-positive noise power")
+        sigma_sq = white_sigma_sq(noise, obs.path)
         return PathObservation(path=obs.path, r=obs.r / np.sqrt(sigma_sq),
                                whitened=True, noise=noise)
     r = noise.clutter_filter(len(obs.r), obs.path).solve(obs.r)

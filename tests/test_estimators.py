@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mimoloc import estimators
+from mimoloc.errors import NoiseCovarianceError
 from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 ThresholdConfig, calibrate_threshold,
                                 gap_ok_tuples, h0_objective_peaks,
                                 joint_path_statistic, joint_search,
                                 peak_quantile, sic_modified_term, sic_run,
-                                sic_threshold, ssr_run)
+                                sic_threshold, ssr_run, white_h0_segments)
 from mimoloc.geometry import Grid, Rect
 from mimoloc.likelihood import ObjectiveField, ReplicaCache, objective_field
 from mimoloc.reference import (alpha_mle_joint, gram_matrix,
@@ -18,7 +19,7 @@ from mimoloc.reference import (alpha_mle_joint, gram_matrix,
 from mimoloc.signal import (NoiseModel, PathObservation,
                             scale_alphas_for_snr, synthesize_observation,
                             whiten)
-from mimoloc.streams import TAG_SCENE, substream
+from mimoloc.streams import TAG_CALIBRATION, TAG_SCENE, substream
 
 
 def scene_observations(setup, scene, snr_db=None, seed=0, sigma_sq=1.0):
@@ -113,9 +114,71 @@ class TestCalibration:
         assert np.mean(values) == pytest.approx(0.5, abs=0.04)
         assert np.mean(values > 1.0) == pytest.approx(np.exp(-2.0), abs=0.03)
 
+    def test_white_h0_field_is_half_chi2(self, two_antenna):
+        # the white twin: segments drawn straight from the trial streams
+        # give |z|^2 / 2 per in-window (path, cell), z ~ CN(0, 1)
+        cache = two_antenna.cache
+        values = [objective_field(white_h0_segments(cache, 5, TAG_SCENE, t),
+                                  cache).per_path_ll[~cache.out_of_window]
+                  for t in range(40)]
+        values = np.concatenate(values)
+        assert np.mean(values) == pytest.approx(0.5, abs=0.04)
+        assert np.mean(values > 1.0) == pytest.approx(np.exp(-2.0), abs=0.03)
+
+    def test_noise_must_match_cache(self, tiny):
+        # a cache built for another noise model is refused, not used
+        clutter = NoiseModel(sigma_sq=1.0, clutter=(0.9, 1.0))
+        cache = ReplicaCache(tiny.waveforms, tiny.layout, tiny.grid, clutter)
+        args = (tiny.waveforms, tiny.layout, tiny.grid)
+        for noise, built in ((tiny.noise, cache), (clutter, tiny.cache),
+                             (NoiseModel(sigma_sq=np.array([2.0])),
+                              tiny.cache)):
+            with pytest.raises(ValueError, match="noise model of the cache"):
+                h0_objective_peaks(*args, noise, 2, 1, cache=built)
+            with pytest.raises(ValueError, match="noise model of the cache"):
+                calibrate_threshold(*args, noise, 0.1, 100, 1, cache=built)
+        # an equal per-path power array in another object is the same model
+        arrays = ReplicaCache(*args, NoiseModel(sigma_sq=np.array([2.0])))
+        h0_objective_peaks(*args, NoiseModel(sigma_sq=np.array([2.0])), 2, 1,
+                           cache=arrays)
+
+    def test_non_positive_noise_power_refused(self, tiny):
+        noise = NoiseModel(sigma_sq=0.0)
+        cache = ReplicaCache(tiny.waveforms, tiny.layout, tiny.grid, noise)
+        with pytest.raises(NoiseCovarianceError, match="non-positive"):
+            h0_objective_peaks(tiny.waveforms, tiny.layout, tiny.grid, noise,
+                               2, 1, cache=cache)
+
     def test_weights_default_to_ones(self, thresholds, small):
         w = thresholds.weights(small.layout.n_paths)
         assert np.all(w == 1.0)
+
+
+class TestWhiteH0Segments:
+    """White noise-only trials draw only the segment samples the field
+    reads; the same samples in a whole whitened window give its bytes."""
+
+    @pytest.mark.parametrize("setup_name", ["small", "tiny"])
+    def test_same_samples_same_field(self, setup_name, request):
+        setup = request.getfixturevalue(setup_name)
+        cache = setup.cache
+        n = setup.waveforms.n_samples
+        peaks = h0_objective_peaks(setup.waveforms, setup.layout, setup.grid,
+                                   setup.noise, 3, 5, cache=cache)
+        for t in range(3):
+            segments = white_h0_segments(cache, 5, TAG_CALIBRATION, t)
+            obs = []
+            for p, (row, window) in enumerate(cache.segment_slices):
+                assert not np.any(np.delete(segments[p],
+                                            np.arange(cache.nfft)[row]))
+                r = np.zeros(n, dtype=complex)
+                r[window] = segments[p, row]
+                obs.append(PathObservation(path=p, r=r, whitened=True))
+            peak = objective_field(obs, cache).combined.max()
+            assert peak.tobytes() == peaks[t].tobytes()
+        # tiny's one segment runs past the window end and is clipped
+        clipped = cache.lag_start + cache.segment > n
+        assert clipped.any() == (setup_name == "tiny")
 
 
 class TestSSR:

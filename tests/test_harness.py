@@ -234,8 +234,26 @@ class TestLoadScenario:
     ])
     def test_bad_value_fails_at_load(self, tmp_path, key, value):
         path = write_mini(tmp_path, **{key: value})
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=key) as exc:
             load_scenario(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("section, value, missing", [
+        ("layout", {"tx_km": [[0.0, 0.0]]}, "rx_km"),
+        ("waveforms", {"samples": 8961, "pulse_width_s": 1.0e-6},
+         "window_s"),
+        ("waveforms", {"window_s": 1.4e-4, "pulse_width_s": 1.0e-6},
+         "samples"),
+        ("noise", {}, "sigma_sq"),
+        ("noise", {"sigma_sq": 1.0, "clutter": {"power": 1.0}}, "rho"),
+    ])
+    def test_missing_section_key_names_the_file(self, tmp_path, section,
+                                                value, missing):
+        path = write_mini(tmp_path, **{section: value})
+        with pytest.raises(ConfigError, match=f"missing required key "
+                           f"'{missing}'") as exc:
+            load_scenario(path)
+        assert str(exc.value).startswith(f"{path}: {section}")
 
     @settings(derandomize=True, deadline=None, max_examples=300,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

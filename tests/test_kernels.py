@@ -31,5 +31,23 @@ def test_numpy_kernel_matches_direct_sum(rng):
         assert ll[c] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def test_csr_product_bytes_match_tap_loop(rng):
+    # the 8-step loop the CSR product replaced, on zero-energy cells and
+    # zero-tap rows (out-of-window cells) too
+    corr, n0, taps, energy = random_inputs(rng, n_cells=2000)
+    taps[::13] = 0.0
+    cross, ll = run(corr, n0, taps, energy)
+    want = np.zeros(len(n0), dtype=complex)
+    for t in range(taps.shape[1]):
+        want += taps[:, t] * corr[t:][n0]
+    want_ll = want.real * want.real + want.imag * want.imag
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_ll *= 0.5 / energy
+    want_ll[~(energy > 0)] = 0.0
+    assert cross.tobytes() == want.tobytes()
+    assert ll.tobytes() == want_ll.tobytes()
+    assert not np.any(cross[::13]) and not np.any(ll[::17])
+
+
 def test_backend_reported():
     assert KERNEL_BACKEND == _kernels.BACKEND == "numpy"
