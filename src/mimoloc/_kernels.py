@@ -1,9 +1,20 @@
-"""Objective-field hot loop: the per-cell 8-tap gather over one path's
-matched-filter correlation, as one CSR sparse product (numpy, scipy)."""
+"""Banded tap operators as CSR sparse matrices (numpy, scipy): the per-cell
+8-tap gather over one path's matched-filter correlation (the hot loop),
+and the replica Gram matrix, are each one sparse product over them."""
 import numpy as np
 import scipy.sparse
 
 BACKEND = "numpy"
+
+
+def band_operator(base, weights, n_cols):
+    """(n_rows x n_cols) CSR matrix whose row c holds weights[c] at columns
+    base[c] + arange(weights.shape[1]); a product with it sums each row's
+    terms from zero in column order."""
+    cols = base[:, None] + np.arange(weights.shape[1], dtype=np.int32)
+    rows = np.arange(0, weights.size + 1, weights.shape[1], dtype=np.int32)
+    return scipy.sparse.csr_matrix((weights.ravel(), cols.ravel(), rows),
+                                   shape=(len(base), n_cols))
 
 
 def path_objective(corr, n0, taps, energy, cross_out, ll_out):
@@ -19,11 +30,7 @@ def path_objective(corr, n0, taps, energy, cross_out, ll_out):
     cross_out, ll_out: (n_cells,) outputs; cross = s~^H r and
              ll = 0.5 |cross|^2 / energy (0 where energy is 0).
     """
-    # row c holds taps[c] at columns n0[c] + t; the product sums in tap order
-    cols = n0[:, None] + np.arange(taps.shape[1], dtype=np.int32)
-    rows = np.arange(0, taps.size + 1, taps.shape[1], dtype=np.int32)
-    op = scipy.sparse.csr_matrix((taps.ravel(), cols.ravel(), rows),
-                                 shape=(len(n0), len(corr)))
+    op = band_operator(n0, taps, len(corr))
     cross_out.view(float).reshape(-1, 2)[:] = op @ corr.view(float).reshape(
         -1, 2)
     np.multiply(cross_out.real, cross_out.real, out=ll_out)

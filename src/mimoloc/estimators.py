@@ -26,7 +26,7 @@ from .streams import TAG_CALIBRATION, substream
 
 # most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
 JOINT_MAX_TUPLES = math.comb(2500, 2)
-JOINT_CHUNK = 1 << 16     # tuples (or Gram entries) per vectorized block
+JOINT_CHUNK = 1 << 16     # tuples per vectorized block
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class Detection:
     location: Position2D
     value: float              # objective at declaration time
     threshold: float          # governing threshold at declaration time
-    footprint: np.ndarray | None = None   # (n_paths, n_cells) bool
     alphas: np.ndarray | None = None      # (n_paths,) complex
 
 
@@ -131,14 +130,12 @@ class DetectionReport:
 
 def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
                        grid: Grid, noise: NoiseModel, trials: int, seed: int,
-                       cache: ReplicaCache | None = None,
+                       cache: ReplicaCache,
                        tag: int = TAG_CALIBRATION) -> np.ndarray:
     """Grid peaks of the objective under the noise-only hypothesis.  The
-    cache, if given, must be built with this noise model."""
-    if cache is None:
-        cache = ReplicaCache(waveforms, layout, grid, noise)
-    elif not (noise.clutter == cache.noise.clutter
-              and np.array_equal(noise.sigma_sq, cache.noise.sigma_sq)):
+    cache must be built with this noise model."""
+    if not (noise.clutter == cache.noise.clutter
+            and np.array_equal(noise.sigma_sq, cache.noise.sigma_sq)):
         raise ValueError("noise differs from the noise model of the cache")
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
@@ -188,7 +185,7 @@ def peak_quantile(peaks: np.ndarray, pfa: float) -> float:
 def calibrate_threshold(waveforms: WaveformSet, layout: AntennaLayout,
                         grid: Grid, noise: NoiseModel, pfa: float,
                         trials: int, seed: int,
-                        cache: ReplicaCache | None = None) -> ThresholdConfig:
+                        cache: ReplicaCache) -> ThresholdConfig:
     """Monte Carlo threshold calibration against the grid-peak false-alarm
     rate: lambda' is the empirical (1-pfa)-quantile of the H0 peak."""
     if not 0.0 < pfa < 1.0:
@@ -215,13 +212,11 @@ def ssr_run(fld: ObjectiveField, thresholds: ThresholdConfig,
             break
         cell = fld.argmax_cell(candidates)
         value = float(fld.combined[cell])
-        footprint = fld.footprint_of_cell(cell)
         report.detections.append(Detection(
             iteration=g, cell=cell, location=fld.grid.cell_center(cell),
-            value=value, threshold=lam, footprint=footprint,
-            alphas=fld.alphas_at(cell)))
+            value=value, threshold=lam, alphas=fld.alphas_at(cell)))
         report.accumulated_objective += value
-        candidates &= ~footprint.any(axis=0)
+        candidates &= ~fld.footprint_of_cell(cell).any(axis=0)
     return report
 
 
@@ -269,14 +264,12 @@ def sic_run(fld: ObjectiveField, thresholds: ThresholdConfig,
             break
         value = float(fld.combined[cell])
         thr = sic_threshold(fld, cell, thresholds)
-        footprint = fld.footprint_of_cell(cell)
         alphas = fld.alphas_at(cell)
         sic_modified_term(fld, cell)
         if value >= thr:
             report.detections.append(Detection(
                 iteration=g, cell=cell, location=fld.grid.cell_center(cell),
-                value=value, threshold=thr, footprint=footprint,
-                alphas=alphas))
+                value=value, threshold=thr, alphas=alphas))
             report.accumulated_objective += value
         elif config.early_stop:
             break
@@ -324,10 +317,11 @@ def joint_search(observations, cache: ReplicaCache, n_targets: int,
         # path-outer, chunk-inner: one path's Gram at a time
         totals = np.zeros(len(tuples))
         for p in range(fld.n_paths):
-            gram = _path_gram(cache, p, np.arange(n_cells))
+            gram = cache.gram(p, np.arange(n_cells))
             for lo in range(0, len(tuples), JOINT_CHUNK):
                 totals[lo: lo + JOINT_CHUNK] += joint_path_statistic(
                     gram, fld.cross[p], tuples[lo: lo + JOINT_CHUNK])[0]
+            del gram        # freed before the next path's Gram is built
         i = int(np.argmax(totals))
         best, total = tuple(int(c) for c in tuples[i]), float(totals[i])
     if total < threshold:
@@ -340,14 +334,13 @@ def joint_search(observations, cache: ReplicaCache, n_targets: int,
     else:
         order = np.arange(n_targets)[None, :]
         alphas = np.stack([
-            joint_path_statistic(_path_gram(cache, p, cells),
+            joint_path_statistic(cache.gram(p, cells),
                                  fld.cross[p, cells], order, alphas=True)[1][0]
             for p in range(fld.n_paths)])
     for i, cell in enumerate(cells.tolist(), start=1):
         report.detections.append(Detection(
             iteration=i, cell=cell, location=fld.grid.cell_center(cell),
-            value=total, threshold=threshold,
-            footprint=fld.footprint_of_cell(cell), alphas=alphas[:, i - 1]))
+            value=total, threshold=threshold, alphas=alphas[:, i - 1]))
     report.accumulated_objective = total
     return report
 
@@ -372,21 +365,6 @@ def gap_ok_tuples(cache: ReplicaCache, n_targets: int) -> np.ndarray:
         rows, cells = np.nonzero(fits)
         tuples = np.column_stack([tuples[rows], cells])
     return tuples
-
-
-def _path_gram(cache: ReplicaCache, path: int,
-               cells: np.ndarray) -> np.ndarray:
-    """One path's replica Gram matrix of the cells, the energies on its
-    diagonal (both from cache.inner_products); built in column blocks of
-    ~JOINT_CHUNK entries, so each column's Q_b is formed once and the
-    per-block temporaries stay bounded."""
-    n = len(cells)
-    gram = np.empty((n, n), dtype=complex)
-    step = max(1, JOINT_CHUNK // n)
-    for lo in range(0, n, step):
-        gram[:, lo: lo + step] = cache.inner_products(
-            path, cells[:, None], cells[None, lo: lo + step])
-    return gram
 
 
 def joint_path_statistic(gram: np.ndarray, cross: np.ndarray,

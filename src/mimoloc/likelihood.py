@@ -13,7 +13,9 @@ the one description of the scenario (waveforms, layout, grid, noise).
 Every replica inner product reads one table of the cache, each pulse's
 autocorrelation ac(d): s~_a^H s~_b = sum_t sum_u h_t(a) h_u(b)
 ac(n_a - n_b + t - u) from the taps h and gather bases n, an 8 x 8
-Toeplitz form for the energies and 8 taps per Gram entry.
+Toeplitz form for the energies, and for a path's Gram matrix one sparse
+product of two band operators (_kernels.band_operator), the taps against
+the autocorrelation convolved with each cell's taps.
 
 objective_field evaluates every cell through one FFT cross-correlation
 per path plus the fractional-delay interpolation weights, which turns
@@ -132,7 +134,8 @@ class ReplicaCache:
     length of every correlated row, is the fast FFT length of the longest
     segment.  Out-of-window cells have zero taps, energy and base.
     autocorr[k, p - 1 + d] = ac_k(d) = sum_m conj(s_k[m]) s_k[m + d] over
-    waveform k's p-sample pulse: the one table of the inner products.
+    waveform k's p-sample pulse: the one table of the inner products
+    (energy, and gram, the joint search's per-path Gram matrices).
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -231,33 +234,26 @@ class ReplicaCache:
                     shifted[k] @ self.taps[path, cells].T, start[path, cells])
         return energy
 
-    def inner_products(self, path: int, a, b) -> np.ndarray:
-        """Replica inner products s~_a^H s~_b of cells a and b (integer
-        arrays, broadcast together) on one path, e.g.
-        inner_products(p, cells[:, None], cells[None, :]) is the path's
-        Gram matrix of the cells: sum_t h_t(a) Q_b(n_a - n_b + t), with
-        Q_b(m) = sum_u h_u(b) ac(m - u) formed once per distinct b.  The
-        diagonal (a == b) is the cached energy; other pairs are exact while
-        both replicas' kernel support stays inside the window.  Unweighted:
+    def gram(self, path: int, cells: np.ndarray) -> np.ndarray:
+        """One path's replica Gram matrix G[i, j] = s~_a^H s~_b of the
+        (distinct) cells a = cells[i], b = cells[j]: sum_t h_t(a)
+        Q_b(n_a - n_b + t), with Q_b(m) = sum_u h_u(b) ac(m - u), as the
+        product H Q^T of two band operators, H's row a the taps at n_a +
+        p - 1 + t and Q's row b the Q_b(m) at n_b + m + p - 1.  The
+        diagonal is the cached energy; other pairs are exact while both
+        replicas' kernel support stays inside the window.  Unweighted:
         white noise only."""
         n, p = KERNEL_TAPS, self.waveforms.pulse_samples
-        reach = p + n - 1                  # Q_b(m) = 0 for |m| > reach
-        b = np.asarray(b)
-        cells_b, col = np.unique(b, return_inverse=True)
-        # row j holds Q_b(m), b = cells_b[j], at n + reach + m, between n
-        # zero columns on each side; clipping delta to them keeps far pairs 0
-        width = 2 * (reach + n) + 1
-        q = np.zeros((len(cells_b), width), dtype=complex)
-        taps_b = self.taps[path, cells_b]
+        taps, base = self.taps[path, cells], self.gather_base[path, cells]
+        q = np.zeros((len(cells), 2 * p - 1 + n - 1), dtype=complex)
         ac = self.autocorr[self.path_tx[path]]
         for u in range(n):                 # h_u(b) ac(d) lands at m = d + u
-            q[:, 2 * n + u: 2 * n + u + 2 * p - 1] += taps_b[:, u, None] * ac
-        delta = self.gather_base[path, a] - self.gather_base[path, b]
-        first = (np.clip(delta, -(reach + n), reach + 1) + reach + n
-                 + col.reshape(b.shape) * width)
-        taps_a, q = self.taps[path, a], q.ravel()
-        out = sum(taps_a[..., t] * q[first + t] for t in range(n))
-        return np.where(a == b, self.energy[path, a], out)
+            q[:, u: u + 2 * p - 1] += taps[:, u, None] * ac
+        n_cols = int(base.max()) + q.shape[1]
+        gram = (_kernels.band_operator(base + (p - 1), taps, n_cols)
+                @ _kernels.band_operator(base, q, n_cols).T).toarray()
+        np.fill_diagonal(gram, self.energy[path, cells])
+        return gram
 
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
         """Cross-correlation of each path's observation with its pulse at

@@ -1,7 +1,9 @@
 """The trial modules never reach the per-point oracles: no module of the
 package but reference.py imports mimoloc.reference, no other module
 defines a name that reference.py defines, and the package root exports
-none of them.  The sources are parsed with ast, not imported.
+none of them.  One module builds the sparse tap operators: no module but
+_kernels.py references scipy.sparse.  The sources are parsed with ast,
+not imported.
 """
 import ast
 import os
@@ -58,6 +60,24 @@ def bound_names(tree):
     return out
 
 
+def references_sparse(tree):
+    """Whether a module imports scipy.sparse, in any form, or reads the
+    attribute scipy.sparse."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "sparse":
+            names = [f"{getattr(node.value, 'id', '')}.sparse"]
+        else:
+            continue
+        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.")
+               for n in names):
+            return True
+    return False
+
+
 REFERENCE_NAMES = defined_names(parse("reference.py"))
 
 
@@ -79,3 +99,12 @@ def test_oracle_defined_only_in_reference(name):
 def test_package_root_exports_no_oracle():
     assert not bound_names(parse("__init__.py")) & (REFERENCE_NAMES
                                                     | {"reference"})
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "_kernels.py"])
+def test_sparse_only_in_kernels(name):
+    assert not references_sparse(parse(name))
+
+
+def test_kernels_references_sparse():
+    assert references_sparse(parse("_kernels.py"))

@@ -93,15 +93,10 @@ class TestCalibration:
 
     def test_clutter_h0_field_is_half_chi2(self, two_antenna):
         # under H0 each in-window (path, cell) GLRT value is |z|^2 / 2,
-        # z ~ CN(0, 1) (mean 1/2, P(> x) = exp(-2x)), as with white noise;
-        # calibration without a cache builds the one for the noise model
+        # z ~ CN(0, 1) (mean 1/2, P(> x) = exp(-2x)), as with white noise
         s = two_antenna
         noise = NoiseModel(sigma_sq=0.8, clutter=(0.9, 1.0))
         cache = ReplicaCache(s.waveforms, s.layout, s.grid, noise)
-        peaks = h0_objective_peaks(s.waveforms, s.layout, s.grid, noise, 4,
-                                   9)
-        assert np.array_equal(peaks, h0_objective_peaks(
-            s.waveforms, s.layout, s.grid, noise, 4, 9, cache=cache))
         values = []
         for t in range(40):
             obs = [whiten(synthesize_observation(
@@ -215,9 +210,9 @@ class TestSSR:
         survivors = fld.combined > thresholds.lambda_prime
         removed_sets = []
         for det in report.detections:
-            removal = survivors & det.footprint.any(axis=0)
-            removed_sets.append(removal)
-            survivors &= ~det.footprint.any(axis=0)
+            footprint = fld.footprint_of_cell(det.cell).any(axis=0)
+            removed_sets.append(survivors & footprint)
+            survivors &= ~footprint
         for det in report.detections:
             # every declared cell was removed from the final candidate set
             assert not survivors[det.cell]
@@ -621,27 +616,53 @@ class TestJointSearch:
             joint_search(obs, coarse.cache, 2, 0.0)
 
     def test_small_blocks_match_one_block(self, coarse, monkeypatch):
-        # with JOINT_CHUNK = 64, each path's Gram is built one column per
-        # block and the pairs are scored in many chunks: same Gram, same
+        # with JOINT_CHUNK = 64 the pairs are scored in many chunks: same
         # result
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
-        fld = objective_field(obs, coarse.cache)
         want = joint_search(obs, coarse.cache, 2, 0.0)
         monkeypatch.setattr(estimators, "JOINT_CHUNK", 64)
-        cells = np.arange(coarse.grid.n_cells)
-        off = ~np.eye(len(cells), dtype=bool)
-        for p in range(coarse.layout.n_paths):
-            gram = estimators._path_gram(coarse.cache, p, cells)
-            full = coarse.cache.inner_products(p, cells[:, None],
-                                               cells[None, :])
-            np.testing.assert_allclose(gram[off], full[off], rtol=1e-13)
-            np.testing.assert_array_equal(gram.diagonal(), fld.energy[p])
         got = joint_search(obs, coarse.cache, 2, 0.0)
         assert ([d.cell for d in got.detections]
                 == [d.cell for d in want.detections])
         assert got.accumulated_objective == pytest.approx(
             want.accumulated_objective, rel=1e-13)
+
+    def test_noisy_search_matches_materialized_gram(self, coarse,
+                                                    monkeypatch):
+        # off-grid targets in noise: the search over the cache's Gram
+        # declares the cells and total of the same search over the Gram
+        # of the materialized replicas
+        cases = [(2, snr, seed) for snr in (0.0, 10.0) for seed in (1, 2, 3)]
+        cases += [(3, snr, seed) for snr in (0.0, 10.0) for seed in (1, 2)]
+        found = []
+        for n_targets, snr_db, seed in cases:
+            rng = np.random.default_rng(100 * n_targets + seed)
+            centers = [coarse.grid.cell_center(c) for c in rng.choice(
+                coarse.grid.n_cells, n_targets, replace=False)]
+            offsets = rng.uniform(-400.0, 400.0, (n_targets, 2))
+            scene = coarse.scene([(c.x + dx, c.y + dy)
+                                  for c, (dx, dy) in zip(centers, offsets)])
+            obs = scene_observations(coarse, scene, snr_db, seed)
+            found.append((n_targets, obs,
+                          joint_search(obs, coarse.cache, n_targets, 0.0)))
+
+        grams = {}
+
+        def materialized(cache, path, cells):
+            key = (path, tuple(cells))
+            if key not in grams:
+                thetas = [cache.grid.cell_center(c) for c in cells]
+                grams[key] = gram_matrix(thetas, path, cache.waveforms,
+                                         cache.layout).values
+            return grams[key]
+        monkeypatch.setattr(ReplicaCache, "gram", materialized)
+        for n_targets, obs, want in found:
+            got = joint_search(obs, coarse.cache, n_targets, 0.0)
+            assert ([d.cell for d in got.detections]
+                    == [d.cell for d in want.detections])
+            assert got.accumulated_objective == pytest.approx(
+                want.accumulated_objective, rel=1e-13)
 
     @pytest.mark.parametrize("n_targets", [2, 3])
     def test_gap_ok_tuples_are_filtered_combinations(self, coarse,
@@ -683,7 +704,7 @@ class TestJointPathStatistic:
         tuples = np.array(tuples)
         cells = np.arange(coarse.grid.n_cells)
         for p in range(coarse.layout.n_paths):
-            gram = cache.inner_products(p, cells[:, None], cells[None, :])
+            gram = cache.gram(p, cells)
             values, alphas = joint_path_statistic(gram, fld.cross[p], tuples,
                                                   alphas=True)
             assert joint_path_statistic(gram, fld.cross[p], tuples)[1] is None

@@ -233,41 +233,38 @@ class TestObjectiveField:
 
 
 class TestReplicaInnerProducts:
-    """The cache's tap-form inner products against the materialized
-    replicas of gram_matrix."""
+    """The cache's band-operator Gram against the materialized replicas of
+    gram_matrix."""
 
     @pytest.mark.parametrize("setup_name", ["coarse", "two_antenna", "tiny"])
     def test_random_pairs_match_gram_matrix(self, setup_name, request):
+        # every pair of the cells whose kernel support lies inside the
+        # window on every path, the diagonal included
         setup = request.getfixturevalue(setup_name)
         cache, wf = setup.cache, setup.waveforms
-        # cells whose kernel support lies inside the window on every path
         n0 = np.floor(cache.delays / wf.Ts).astype(int)
         usable = np.flatnonzero(
             ((n0 + cache.tap_offsets[0] >= 0)
              & (n0 + cache.tap_offsets[-1] + wf.pulse_samples
                 <= wf.n_samples)).all(axis=0))
-        rng = np.random.default_rng(12)
-        for _ in range(40):
-            p = int(rng.integers(setup.layout.n_paths))
-            a, b = rng.choice(usable, 2)   # a == b: the diagonal
-            want = gram_matrix([setup.grid.cell_center(a),
-                                setup.grid.cell_center(b)], p,
-                               setup.waveforms, setup.layout).values
-            got = cache.inner_products(p, np.array([[a], [b]]),
-                                       np.array([[a, b]]))
-            assert np.allclose(got, want, rtol=0, atol=1e-13)
+        thetas = [setup.grid.cell_center(c) for c in usable]
+        for p in range(setup.layout.n_paths):
+            want = gram_matrix(thetas, p, setup.waveforms,
+                               setup.layout).values
+            np.testing.assert_allclose(cache.gram(p, usable), want, rtol=0,
+                                       atol=1e-13)
         # a pair whose gather bases lie pulse + 8 taps apart reads exactly 0
         base = cache.gather_base[0, usable]
         a, b = usable[np.argmin(base)], usable[np.argmax(base)]
         assert base.max() - base.min() >= wf.pulse_samples + 8
-        assert cache.inner_products(0, a, b) == 0.0
+        assert cache.gram(0, np.array([a, b]))[0, 1] == 0.0
 
     def test_diagonal_is_cached_energy(self, coarse, tiny):
         # tiny: the replicas the window end clips included
         for setup in (coarse, tiny):
             cells = np.arange(setup.grid.n_cells)
             for p in range(setup.layout.n_paths):
-                e = setup.cache.inner_products(p, cells, cells)
+                e = setup.cache.gram(p, cells).diagonal()
                 inside = ~setup.cache.out_of_window[p]
                 assert np.array_equal(e.real[inside],
                                       setup.cache.energy[p, inside])
