@@ -26,7 +26,11 @@ from .streams import TAG_CALIBRATION, substream
 
 # most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
 JOINT_MAX_TUPLES = math.comb(2500, 2)
-JOINT_CHUNK = 1 << 16     # tuples per vectorized block
+# tuples per scored block: joint_path_statistic makes a few dozen
+# block-length temporaries, and at 4096 tuples (64 kB per complex one) they
+# stay in cache; every tuple's value is elementwise, so the block size
+# changes no bits
+JOINT_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -284,9 +288,12 @@ def joint_search(observations, cache: ReplicaCache, n_targets: int,
     over unordered tuples of the cache's grid cells (the objective is
     symmetric under permutation, so ordered tuples add nothing).
 
-    Only the tuples of gap_ok_tuples are scored.  For G = n_targets >= 2,
-    a search whose enumeration may hold more than JOINT_MAX_TUPLES tuples
-    at some stage (up to C(n_cells, min(G, n_cells // 2))) is refused
+    Only the tuples of gap_ok_tuples are scored, path by path: one path's
+    Gram at a time, its tuples in blocks of JOINT_CHUNK whose temporaries
+    stay cache-resident, each block's values added to the running totals
+    elementwise (the bits do not depend on the block size).  For
+    G = n_targets >= 2, a search whose enumeration may hold more than
+    JOINT_MAX_TUPLES tuples at some stage (up to C(n_cells, min(G, n_cells // 2))) is refused
     before any work.  The tuple is declared only when the summed statistic
     reaches the threshold.  White noise only: the Gram's off-diagonal
     inner products are not weighted by R^-1, so a cache built with
@@ -314,7 +321,7 @@ def joint_search(observations, cache: ReplicaCache, n_targets: int,
         tuples = gap_ok_tuples(cache, n_targets)
         if len(tuples) == 0:
             return report
-        # path-outer, chunk-inner: one path's Gram at a time
+        # path-outer, block-inner: one path's Gram at a time
         totals = np.zeros(len(tuples))
         for p in range(fld.n_paths):
             gram = cache.gram(p, np.arange(n_cells))
@@ -373,21 +380,25 @@ def joint_path_statistic(gram: np.ndarray, cross: np.ndarray,
     cell tuple t (rows of tuples), A = gram[t][:, t], x = cross[t] (the
     products s~^H r).  An unpivoted LDL^H factorization A = L D L^H runs
     vectorized over the tuples: with L y = x, the value is
-    0.5 sum_j |y_j|^2 / D_j.  Reads only the diagonal and gram[t_i, t_j],
-    i > j.  Returns (values, None), or with alphas=True (values, A^-1 x),
-    the joint reflection-coefficient MLEs by back substitution.
+    0.5 sum_j |y_j|^2 / D_j, elementwise per tuple, so joint_search can
+    pass any block of tuples.  Reads only the diagonal and gram[t_i, t_j],
+    i > j, each as one flat take from gram.ravel() (a copy when gram is not
+    C-contiguous), and x as a take from cross.  Returns (values, None), or
+    with alphas=True (values, A^-1 x), the joint reflection-coefficient
+    MLEs by back substitution.
     """
-    t = tuples.T
-    g_n = len(t)
+    t = np.ascontiguousarray(tuples.T)
+    g_n, n = len(t), gram.shape[1]
+    flat = gram.ravel()
     low, d, y = {}, [], []        # L[i, j] (i > j), D, y
     values = np.zeros(t.shape[1])
     for j in range(g_n):
         w = [np.conj(low[j, k]) * d[k] for k in range(j)]   # conj(L_jk) D_k
-        d.append(gram[t[j], t[j]].real
+        d.append(flat.take(t[j] * (n + 1)).real
                  - sum((low[j, k] * w[k]).real for k in range(j)))
-        y.append(cross[t[j]] - sum(low[j, k] * y[k] for k in range(j)))
+        y.append(cross.take(t[j]) - sum(low[j, k] * y[k] for k in range(j)))
         for i in range(j + 1, g_n):
-            low[i, j] = (gram[t[i], t[j]]
+            low[i, j] = (flat.take(t[i] * n + t[j])
                          - sum(low[i, k] * w[k] for k in range(j))) / d[j]
         values += 0.5 * (y[j].real ** 2 + y[j].imag ** 2) / d[j]
     if not alphas:

@@ -616,17 +616,24 @@ class TestJointSearch:
             joint_search(obs, coarse.cache, 2, 0.0)
 
     def test_small_blocks_match_one_block(self, coarse, monkeypatch):
-        # with JOINT_CHUNK = 64 the pairs are scored in many chunks: same
-        # result
+        # every tuple's value is elementwise, so scoring the tuples in
+        # blocks of 1, 64 or 4099 (no divisor of the tuple count) declares
+        # the same cells and the same total bits as one block holding every
+        # tuple; G = 3 skips blocks of one tuple (16 x 358 360 calls)
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
-        want = joint_search(obs, coarse.cache, 2, 0.0)
-        monkeypatch.setattr(estimators, "JOINT_CHUNK", 64)
-        got = joint_search(obs, coarse.cache, 2, 0.0)
-        assert ([d.cell for d in got.detections]
-                == [d.cell for d in want.detections])
-        assert got.accumulated_objective == pytest.approx(
-            want.accumulated_objective, rel=1e-13)
+        for n_targets, chunks in ((2, (1, 64, 4099)), (3, (64, 4099))):
+            n_tuples = len(gap_ok_tuples(coarse.cache, n_targets))
+            monkeypatch.setattr(estimators, "JOINT_CHUNK", n_tuples)
+            want = joint_search(obs, coarse.cache, n_targets, 0.0)
+            assert len(want.detections) == n_targets
+            assert n_tuples % 4099
+            for chunk in chunks:
+                monkeypatch.setattr(estimators, "JOINT_CHUNK", chunk)
+                got = joint_search(obs, coarse.cache, n_targets, 0.0)
+                assert ([d.cell for d in got.detections]
+                        == [d.cell for d in want.detections])
+                assert got.accumulated_objective == want.accumulated_objective
 
     def test_noisy_search_matches_materialized_gram(self, coarse,
                                                     monkeypatch):
@@ -720,6 +727,24 @@ class TestJointPathStatistic:
                                          coarse.layout, p)
                 assert value == pytest.approx(want, rel=1e-9)
                 assert np.allclose(alpha, want_alpha, rtol=1e-9, atol=0)
+
+    def test_fortran_order_gram_matches_c_order(self, coarse):
+        # the flat Gram reads accept a gram that is not C-contiguous and
+        # return the same bits as from a C-order copy
+        scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
+        obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
+        fld = objective_field(obs, coarse.cache)
+        cells = np.arange(coarse.grid.n_cells)
+        tuples = gap_ok_tuples(coarse.cache, 3)[::97]
+        for p in range(coarse.layout.n_paths):
+            gram = np.asfortranarray(coarse.cache.gram(p, cells))
+            assert not gram.flags.c_contiguous
+            got = joint_path_statistic(gram, fld.cross[p], tuples,
+                                       alphas=True)
+            want = joint_path_statistic(np.ascontiguousarray(gram),
+                                        fld.cross[p], tuples, alphas=True)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
 
 def coarse_scene(coarse, seed, n_targets):
