@@ -20,8 +20,8 @@ import numpy as np
 from .geometry import AntennaLayout, Grid, Position2D, Scene
 from .likelihood import (SINGULARITY_TOL_SAMPLES, ObjectiveField,
                          ReplicaCache, map_paths, objective_field)
-from .signal import (NoiseModel, WaveformSet, synthesize_observation,
-                     white_sigma_sq, whiten)
+from .signal import (NoiseModel, WaveformSet, path_echoes,
+                     synthesize_observation, white_sigma_sq, whiten)
 from .streams import TAG_CALIBRATION, substream
 
 # most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
@@ -144,23 +144,36 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
-        obs = (white_h0_segments(cache, seed, tag, t) if noise.is_white else
-               whitened_observations(empty, waveforms, noise, seed, tag, t))
+        obs = (white_segments(cache, empty, seed, tag, t) if noise.is_white
+               else whitened_observations(empty, waveforms, noise, seed, tag,
+                                          t))
         peaks[t] = objective_field(obs, cache).combined.max()
     return peaks
 
 
-def white_h0_segments(cache: ReplicaCache, seed: int, tag: int,
-                      trial: int) -> np.ndarray:
-    """Segment matrix of a white H0 trial: whitened noise is i.i.d. CN(0, 1),
-    drawn straight into each path's row from stream (seed, tag, trial, p)."""
+def white_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
+                   trial: int) -> np.ndarray:
+    """Segment matrix (cache.segment_slices) of one white-noise trial of a
+    scene on the cache's layout, whitened.  Whitened noise is i.i.d.
+    CN(0, 1), drawn straight into path p's row from stream (seed, tag,
+    trial, p); then each target's echo (signal.path_echoes, the spans
+    synthesize_observation adds) over sigma_p is added where it overlaps
+    the row.  Samples outside a row's segment reach no gather, so the
+    field is that of the whitened full window on the same samples."""
     segments = np.zeros((len(cache.segment), cache.nfft), dtype=complex)
 
     def draw(p):
-        white_sigma_sq(cache.noise, p)      # whiten's refusal
-        row = segments[p, cache.segment_slices[p][0]].view(float)
-        substream(seed, tag, trial, p).standard_normal(out=row)
-        row *= np.sqrt(0.5)
+        sigma = np.sqrt(white_sigma_sq(cache.noise, p))   # whiten's refusal
+        (row, window), shift = cache.segment_slices[p], cache.lag_start[p]
+        noise = segments[p, row].view(float)
+        substream(seed, tag, trial, p).standard_normal(out=noise)
+        noise *= np.sqrt(0.5)
+        for start, echo in path_echoes(scene, cache.waveforms, p):
+            a, b = max(start, window.start), min(start + len(echo),
+                                                 window.stop)
+            if a < b:
+                segments[p, a - shift: b - shift] += (
+                    echo[a - start: b - start] / sigma)
     map_paths(draw, len(segments), cache.waveforms.n_samples)
     return segments
 
@@ -169,8 +182,10 @@ def whitened_observations(scene: Scene, waveforms: WaveformSet,
                           noise: NoiseModel, seed: int, tag: int,
                           trial: int) -> list:
     """Every path's synthesized and whitened echo of one trial, path p's
-    noise drawn from stream (seed, tag, trial, p).  Paths run on worker
-    threads for large windows (map_paths); the bytes do not change."""
+    noise drawn from stream (seed, tag, trial, p): the route of clutter
+    trials (white trials draw their segments, white_segments).  Paths run
+    on worker threads for large windows (map_paths); the bytes do not
+    change."""
     def one(p):
         rng = substream(seed, tag, trial, p)
         return whiten(synthesize_observation(scene, waveforms, noise, p, rng),

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import (DetectionReport, EstimatorConfig, ThresholdConfig,
                          calibrate_threshold, h0_objective_peaks,
-                         joint_search, sic_run, ssr_run,
+                         joint_search, sic_run, ssr_run, white_segments,
                          whitened_observations)
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
                        TargetTruth, path_delay)
@@ -398,7 +398,11 @@ def associate(report: DetectionReport, truths) -> list[int | None]:
 
 def trial_observations(ctx: RunContext, snr_db: float, trial: int,
                        target_indices=None):
-    """Synthesize and whiten every path's echo for one trial.
+    """Every path's whitened echo plus noise for one trial: with white
+    noise the filled (n_paths, nfft) segment matrix of
+    estimators.white_segments, with clutter the list of synthesized and
+    whitened PathObservations; objective_field and joint_search take
+    either.
 
     target_indices selects a subset of the configured targets (used by
     the single-target benchmark); phase streams stay keyed by the
@@ -423,17 +427,21 @@ def trial_observations(ctx: RunContext, snr_db: float, trial: int,
             ref_proportion=max(cfg.proportions),
             ref_energy=ctx.ref_energy)
 
-    observations = whitened_observations(scene, ctx.waveforms, ctx.noise,
-                                         cfg.seed, TAG_NOISE, trial)
+    if ctx.noise.is_white:
+        observations = white_segments(ctx.cache, scene, cfg.seed, TAG_NOISE,
+                                      trial)
+    else:
+        observations = whitened_observations(scene, ctx.waveforms, ctx.noise,
+                                             cfg.seed, TAG_NOISE, trial)
     return observations, target_indices
 
 
 def run_trial(ctx: RunContext, snr_db: float, trial: int,
               thresholds: ThresholdConfig, algorithm: str | None = None,
               target_indices=None):
-    """One deterministic Monte Carlo trial: synthesize, whiten, evaluate
-    the objective, run the selected algorithm and associate detections
-    with the truth."""
+    """One deterministic Monte Carlo trial: draw the whitened
+    observations (trial_observations), evaluate the objective, run the
+    selected algorithm and associate detections with the truth."""
     cfg = ctx.cfg
     algorithm = algorithm or cfg.algorithm
     observations, target_indices = trial_observations(

@@ -24,10 +24,11 @@ it to the per-point oracles of mimoloc.reference.
 
 The correlation covers only the lags a path's gathers reach: each path's
 segment of the observation (gather span plus pulse) is one row of a
-matrix that white noise-only trials draw straight into, transformed in
-place in one batched FFT; the cache's gather bases index the result.
-On windows of at least THREAD_MIN_SAMPLES samples the per-path work of
-a trial (noise synthesis or draw, whitening, the gather) runs as one
+matrix that white-noise trials draw straight into, noise and echoes
+(estimators.white_segments), transformed in place in one batched FFT;
+the cache's gather bases index the result.  On windows of at least
+THREAD_MIN_SAMPLES samples the per-path work of a trial (the segment
+draw, or synthesis and whitening under clutter; the gather) runs as one
 block of paths per worker thread (map_paths); numpy and scipy release
 the GIL in the draws and the sparse gather, and every path's result
 depends on that path alone, so the bytes do not depend on the thread count.
@@ -136,6 +137,8 @@ class ReplicaCache:
     autocorr[k, p - 1 + d] = ac_k(d) = sum_m conj(s_k[m]) s_k[m + d] over
     waveform k's p-sample pulse: the one table of the inner products
     (energy, and gram, the joint search's per-path Gram matrices).
+    pulse_fft_conj[k] is the conjugate nfft-point spectrum of pulse k,
+    shared by the n_rx paths that transmit it.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -189,8 +192,8 @@ class ReplicaCache:
         # a segment of S samples against the pulse of p samples reaches
         # S - p + 1 lags; an FFT of at least S points keeps them unwrapped
         self.nfft = scipy.fft.next_fast_len(int(self.segment.max()))
-        self.path_fft_conj = np.conj(scipy.fft.fft(
-            pulses, self.nfft, axis=1))[self.path_tx]
+        self.pulse_fft_conj = np.conj(scipy.fft.fft(pulses, self.nfft,
+                                                    axis=1))
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -264,9 +267,12 @@ class ReplicaCache:
         for every lag a gather_base of path p reaches."""
         spec = scipy.fft.fft(obs_matrix, axis=1, workers=_FFT_WORKERS,
                              overwrite_x=True)
-        spec *= self.path_fft_conj
-        return scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS,
-                              overwrite_x=True)
+        # flat path l * n_tx + k correlates with pulse k
+        n_tx = self.layout.n_tx
+        by_rx = spec.reshape(-1, n_tx, self.nfft)
+        by_rx *= self.pulse_fft_conj[:n_tx]
+        return scipy.fft.ifft(by_rx.reshape(spec.shape), axis=1,
+                              workers=_FFT_WORKERS, overwrite_x=True)
 
 
 def map_paths(fn, n_paths: int, n_samples: int) -> list:

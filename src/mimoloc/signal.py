@@ -342,20 +342,28 @@ def _replica_window(waveforms: WaveformSet, k: int, tau: float):
     return span0 + lo, win[lo:hi]
 
 
-def synthesize_observation(scene: Scene, waveforms: WaveformSet,
-                           noise: NoiseModel, path: int,
-                           rng: np.random.Generator) -> PathObservation:
-    """One path's raw echo: superposition of target replicas plus
-    circular complex Gaussian noise and clutter."""
+def path_echoes(scene: Scene, waveforms: WaveformSet, path: int):
+    """Each target's echo on one path as (start, samples): the nonzero span
+    of its delayed replica (_replica_window) times its reflection
+    coefficient (1 when the target has none)."""
     l, k = divmod(path, scene.layout.n_tx)
-    r = np.zeros(waveforms.n_samples, dtype=complex)
-    for g, t in enumerate(scene.targets):
+    for t in scene.targets:
         alpha = 1.0 + 0j
         if t.per_path_alpha is not None:
             alpha = t.per_path_alpha[l, k]
         start, win = _replica_window(
             waveforms, k, path_delay(scene.layout, t.position, l, k))
-        r[start: start + len(win)] += alpha * win
+        yield start, alpha * win
+
+
+def synthesize_observation(scene: Scene, waveforms: WaveformSet,
+                           noise: NoiseModel, path: int,
+                           rng: np.random.Generator) -> PathObservation:
+    """One path's raw echo: superposition of target replicas plus
+    circular complex Gaussian noise and clutter."""
+    r = np.zeros(waveforms.n_samples, dtype=complex)
+    for start, echo in path_echoes(scene, waveforms, path):
+        r[start: start + len(echo)] += echo
     r += noise.sample(waveforms.n_samples, path, rng)
     return PathObservation(path=path, r=r, whitened=False)
 

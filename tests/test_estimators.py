@@ -11,7 +11,7 @@ from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 gap_ok_tuples, h0_objective_peaks,
                                 joint_path_statistic, joint_search,
                                 peak_quantile, sic_modified_term, sic_run,
-                                sic_threshold, ssr_run, white_h0_segments)
+                                sic_threshold, ssr_run, white_segments)
 from mimoloc.geometry import Grid, Rect
 from mimoloc.likelihood import ObjectiveField, ReplicaCache, objective_field
 from mimoloc.reference import (alpha_mle_joint, gram_matrix,
@@ -113,7 +113,9 @@ class TestCalibration:
         # the white twin: segments drawn straight from the trial streams
         # give |z|^2 / 2 per in-window (path, cell), z ~ CN(0, 1)
         cache = two_antenna.cache
-        values = [objective_field(white_h0_segments(cache, 5, TAG_SCENE, t),
+        empty = two_antenna.scene([])
+        values = [objective_field(white_segments(cache, empty, 5, TAG_SCENE,
+                                                 t),
                                   cache).per_path_ll[~cache.out_of_window]
                   for t in range(40)]
         values = np.concatenate(values)
@@ -149,9 +151,33 @@ class TestCalibration:
         assert np.all(w == 1.0)
 
 
+def trial_scene(setup, positions, snr_db=12.0):
+    """A scene with the per-path reflection coefficients of one trial."""
+    scene = setup.scene(positions)
+    rngs = [substream(3, TAG_SCENE, 4, g) for g in range(len(positions))]
+    return scale_alphas_for_snr(scene, setup.waveforms, setup.noise, snr_db,
+                                [1.0] * len(positions), rngs)
+
+
+def whitened_echo(setup, scene, noise, p):
+    """Path p's noise-free echo over the whole window, whitened."""
+    quiet = NoiseModel(sigma_sq=0.0)
+    r = synthesize_observation(scene, setup.waveforms, quiet, p, None).r
+    return r / np.sqrt(noise.path_sigma_sq(p))
+
+
+# a scene per setup: small's third target, at the region's corner, echoes
+# across the edge of most paths' segments; tiny's target echoes into the
+# window end, where its one segment is clipped
+WHITE_SCENES = {"small": [(1250.0, 1250.0), (4750.0, 4250.0),
+                          (12000.0, 0.0)],
+                "tiny": [(780.0, 100.0)]}
+
+
 class TestWhiteH0Segments:
-    """White noise-only trials draw only the segment samples the field
-    reads; the same samples in a whole whitened window give its bytes."""
+    """White trials draw only the segment samples the field reads, noise
+    and echo; the same samples in a whole whitened window give its bytes,
+    and the whole window's other samples do not change the field."""
 
     @pytest.mark.parametrize("setup_name", ["small", "tiny"])
     def test_same_samples_same_field(self, setup_name, request):
@@ -160,20 +186,58 @@ class TestWhiteH0Segments:
         n = setup.waveforms.n_samples
         peaks = h0_objective_peaks(setup.waveforms, setup.layout, setup.grid,
                                    setup.noise, 3, 5, cache=cache)
+        empty = setup.scene([])
+        scene = trial_scene(setup, WHITE_SCENES[setup_name])
         for t in range(3):
-            segments = white_h0_segments(cache, 5, TAG_CALIBRATION, t)
+            noise = white_segments(cache, empty, 5, TAG_CALIBRATION, t)
+            drawn = white_segments(cache, scene, 5, TAG_CALIBRATION, t)
+            # H0: the segment samples in a whole window, zeros elsewhere
             obs = []
             for p, (row, window) in enumerate(cache.segment_slices):
-                assert not np.any(np.delete(segments[p],
-                                            np.arange(cache.nfft)[row]))
+                for segments in (noise, drawn):
+                    assert not np.any(np.delete(segments[p],
+                                                np.arange(cache.nfft)[row]))
                 r = np.zeros(n, dtype=complex)
-                r[window] = segments[p, row]
+                r[window] = noise[p, row]
                 obs.append(PathObservation(path=p, r=r, whitened=True))
             peak = objective_field(obs, cache).combined.max()
             assert peak.tobytes() == peaks[t].tobytes()
+            # with targets: the segment's noise, other noise elsewhere in
+            # the window, and every target's whole whitened echo
+            rng = np.random.default_rng(t)
+            obs = []
+            for p, (row, window) in enumerate(cache.segment_slices):
+                r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                r[window] = noise[p, row]
+                r += whitened_echo(setup, scene, setup.noise, p)
+                obs.append(PathObservation(path=p, r=r, whitened=True))
+            whole = objective_field(obs, cache).per_path_ll
+            np.testing.assert_allclose(
+                objective_field(drawn, cache).per_path_ll, whole, rtol=0,
+                atol=1e-10 * whole.max())
         # tiny's one segment runs past the window end and is clipped
         clipped = cache.lag_start + cache.segment > n
         assert clipped.any() == (setup_name == "tiny")
+
+    @pytest.mark.parametrize("setup_name", ["small", "tiny"])
+    def test_echo_is_whole_window_echo(self, setup_name, request):
+        # the signal trial minus the noise-only trial of the same stream is
+        # each target's whitened echo, clipped to the segment; per-path
+        # noise powers scale it
+        setup = request.getfixturevalue(setup_name)
+        n_paths = setup.layout.n_paths
+        noise = NoiseModel(sigma_sq=0.5 + np.arange(n_paths))
+        cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
+        scene = trial_scene(setup, WHITE_SCENES[setup_name])
+        diff = (white_segments(cache, scene, 9, TAG_CALIBRATION, 2)
+                - white_segments(cache, setup.scene([]), 9,
+                                 TAG_CALIBRATION, 2))
+        for p, (row, window) in enumerate(cache.segment_slices):
+            echo = whitened_echo(setup, scene, noise, p)[window]
+            assert np.abs(echo).max() > 0
+            err = np.abs(diff[p, row] - echo).max()
+            assert err <= 1e-12 * np.abs(echo).max()
+            assert not np.any(np.delete(diff[p], np.arange(cache.nfft)[row]))
 
 
 class TestSSR:

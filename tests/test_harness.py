@@ -343,7 +343,7 @@ class TestRunTrial:
 
     def test_threaded_observations_bytes(self, mini_ctx, monkeypatch):
         # the mini window (8961 samples) is serial by default; on worker
-        # threads every path's noise and whitening keep their bytes
+        # threads every path's noise and echoes keep their bytes
         from mimoloc import likelihood
         from mimoloc.harness import trial_observations
         cfg, ctx, thr = mini_ctx
@@ -351,25 +351,52 @@ class TestRunTrial:
         monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
         monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
         threaded, _ = trial_observations(ctx, 10.0, 4)
-        assert [o.path for o in threaded] == list(range(ctx.layout.n_paths))
-        for a, b in zip(serial, threaded):
-            assert a.r.tobytes() == b.r.tobytes() and b.whitened
+        assert cfg.n_targets == 2
+        assert threaded.shape == (ctx.layout.n_paths, ctx.cache.nfft)
+        assert serial.tobytes() == threaded.tobytes()
 
     def test_benchmark_subset_pairs_with_full_run(self, mini_ctx):
         # the single-target run sees exactly the alpha the target had in
-        # the full scene (same phase stream, same reference)
-        cfg, ctx, thr = mini_ctx
+        # the full scene (same phase stream, same reference) and the same
+        # noise: on every path, full - solo - other is minus the trial's
+        # noise-only segments, to rounding
+        from mimoloc.estimators import white_segments
+        from mimoloc.geometry import Scene
         from mimoloc.harness import trial_observations
+        from mimoloc.streams import TAG_NOISE
+        cfg, ctx, thr = mini_ctx
         full, _ = trial_observations(ctx, 10.0, 5)
         solo, _ = trial_observations(ctx, 10.0, 5, target_indices=[1])
         other, _ = trial_observations(ctx, 10.0, 5, target_indices=[0])
-        # superposition: full echo = target0 echo + target1 echo - noise
-        # (noise was added twice)
-        for p in (0, 3):
-            rng_noise = full[p].r - solo[p].r - other[p].r
-            # residual is minus one copy of the whitened noise; it must
-            # match the difference implied by linearity
-            assert np.isfinite(rng_noise).all()
+        empty = Scene(layout=ctx.layout, targets=(), region=cfg.region)
+        noise = white_segments(ctx.cache, empty, cfg.seed, TAG_NOISE, 5)
+        residual = full - solo - other + noise
+        assert np.abs(solo - noise).max() > 0.1
+        assert np.abs(other - noise).max() > 0.1
+        assert np.abs(residual).max() <= 1e-12 * np.abs(full).max()
+
+    @pytest.mark.parametrize("algorithm", ["ssr", "sic", "joint"])
+    def test_white_trials_synthesize_no_window(self, algorithm, mini_ctx,
+                                               monkeypatch, tmp_path):
+        # white signal trials draw their segments; no path is synthesized
+        # or whitened over the whole window
+        from mimoloc import estimators, signal
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a white trial synthesized a window")
+        for module in (signal, estimators):
+            monkeypatch.setattr(module, "synthesize_observation", refuse)
+            monkeypatch.setattr(module, "whiten", refuse)
+        cfg, ctx, thr = mini_ctx
+        if algorithm == "joint":
+            # 144 cells: the pairs stay inside the tuple budget
+            ctx = RunContext(load_scenario(write_mini(
+                tmp_path, grid_cell_m=1000.0, algorithm="joint")))
+        report, assignment, _ = run_trial(ctx, 30.0, 0, thr,
+                                          algorithm=algorithm)
+        assert report.algorithm == algorithm
+        if algorithm != "joint":     # the coarse cells miss the targets
+            assert sorted(a for a in assignment if a is not None) == [0, 1]
 
     def test_joint_algorithm_guard(self, mini_ctx):
         cfg, ctx, thr = mini_ctx

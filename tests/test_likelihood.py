@@ -131,7 +131,7 @@ class TestObjectiveField:
         assert fld.bins is small.cache.bins
         assert fld.grid is small.cache.grid
         for name in ("energy", "bins", "taps", "gather_base", "delays",
-                     "out_of_window", "path_fft_conj"):
+                     "out_of_window", "pulse_fft_conj"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(small.cache, name)[0, 0] = 0
 
