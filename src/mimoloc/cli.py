@@ -151,8 +151,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_gridmap(args) -> int:
     cfg = _load(args)
     ctx = RunContext(cfg)
-    observations, _ = trial_observations(ctx, args.snr, args.trial)
-    fld = objective_field(observations, ctx.cache)
+    segments, _ = trial_observations(ctx, args.snr, args.trial)
+    fld = objective_field(segments, ctx.cache)
     # optionally subtract the first G argmax targets the way SIC would
     for _ in range(args.after_cancel):
         sic_modified_term(fld, fld.argmax_cell())

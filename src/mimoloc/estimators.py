@@ -64,14 +64,11 @@ class ThresholdConfig:
 @dataclass(frozen=True)
 class EstimatorConfig:
     g_max: int = 5
-    algorithm: str = "ssr"
     early_stop: bool = True
 
     def __post_init__(self):
         if self.g_max < 1:
             raise ValueError("g_max must be at least 1")
-        if self.algorithm not in ("ssr", "sic", "joint"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -144,53 +141,46 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
-        obs = (white_segments(cache, empty, seed, tag, t) if noise.is_white
-               else whitened_observations(empty, waveforms, noise, seed, tag,
-                                          t))
-        peaks[t] = objective_field(obs, cache).combined.max()
+        segments = trial_segments(cache, empty, seed, tag, t)
+        peaks[t] = objective_field(segments, cache).combined.max()
     return peaks
 
 
-def white_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
+def trial_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
                    trial: int) -> np.ndarray:
-    """Segment matrix (cache.segment_slices) of one white-noise trial of a
-    scene on the cache's layout, whitened.  Whitened noise is i.i.d.
-    CN(0, 1), drawn straight into path p's row from stream (seed, tag,
-    trial, p); then each target's echo (signal.path_echoes, the spans
-    synthesize_observation adds) over sigma_p is added where it overlaps
-    the row.  Samples outside a row's segment reach no gather, so the
-    field is that of the whitened full window on the same samples."""
+    """Segment matrix (cache.segment_slices) of one trial of a scene on the
+    cache's layout, whitened against the cache's noise model, path p's
+    noise drawn from stream (seed, tag, trial, p).  White noise: whitened
+    noise is i.i.d. CN(0, 1), drawn straight into row p; then each
+    target's echo (signal.path_echoes, the spans synthesize_observation
+    adds) over sigma_p is added where it overlaps the row.  Clutter: the
+    whole window is synthesized and whitened (R^-1 r), and its segment
+    copied into the row.  Samples outside a row's segment reach no
+    gather, so the field is that of the whitened full window on the same
+    samples.  Paths run on worker threads for large windows (map_paths);
+    the bytes do not change."""
+    noise, waveforms = cache.noise, cache.waveforms
     segments = np.zeros((len(cache.segment), cache.nfft), dtype=complex)
 
-    def draw(p):
-        sigma = np.sqrt(white_sigma_sq(cache.noise, p))   # whiten's refusal
+    def fill(p):
         (row, window), shift = cache.segment_slices[p], cache.lag_start[p]
-        noise = segments[p, row].view(float)
-        substream(seed, tag, trial, p).standard_normal(out=noise)
-        noise *= np.sqrt(0.5)
-        for start, echo in path_echoes(scene, cache.waveforms, p):
+        rng = substream(seed, tag, trial, p)
+        if not noise.is_white:
+            segments[p, row] = whiten(synthesize_observation(
+                scene, waveforms, noise, p, rng), noise).r[window]
+            return
+        sigma = np.sqrt(white_sigma_sq(noise, p))   # whiten's refusal
+        draw = segments[p, row].view(float)
+        rng.standard_normal(out=draw)
+        draw *= np.sqrt(0.5)
+        for start, echo in path_echoes(scene, waveforms, p):
             a, b = max(start, window.start), min(start + len(echo),
                                                  window.stop)
             if a < b:
                 segments[p, a - shift: b - shift] += (
                     echo[a - start: b - start] / sigma)
-    map_paths(draw, len(segments), cache.waveforms.n_samples)
+    map_paths(fill, len(segments), waveforms.n_samples)
     return segments
-
-
-def whitened_observations(scene: Scene, waveforms: WaveformSet,
-                          noise: NoiseModel, seed: int, tag: int,
-                          trial: int) -> list:
-    """Every path's synthesized and whitened echo of one trial, path p's
-    noise drawn from stream (seed, tag, trial, p): the route of clutter
-    trials (white trials draw their segments, white_segments).  Paths run
-    on worker threads for large windows (map_paths); the bytes do not
-    change."""
-    def one(p):
-        rng = substream(seed, tag, trial, p)
-        return whiten(synthesize_observation(scene, waveforms, noise, p, rng),
-                      noise)
-    return map_paths(one, scene.layout.n_paths, waveforms.n_samples)
 
 
 def peak_quantile(peaks: np.ndarray, pfa: float) -> float:
@@ -297,22 +287,24 @@ def sic_run(fld: ObjectiveField, thresholds: ThresholdConfig,
 
 # --- joint exhaustive search ----------------------------------------------
 
-def joint_search(observations, cache: ReplicaCache, n_targets: int,
+def joint_search(segments: np.ndarray, cache: ReplicaCache, n_targets: int,
                  threshold: float) -> DetectionReport:
     """Exhaustive maximization of the joint concentrated log-likelihood
     over unordered tuples of the cache's grid cells (the objective is
-    symmetric under permutation, so ordered tuples add nothing).
+    symmetric under permutation, so ordered tuples add nothing), from one
+    trial's segment matrix (trial_segments), which objective_field
+    overwrites.
 
     Only the tuples of gap_ok_tuples are scored, path by path: one path's
     Gram at a time, its tuples in blocks of JOINT_CHUNK whose temporaries
     stay cache-resident, each block's values added to the running totals
     elementwise (the bits do not depend on the block size).  For
     G = n_targets >= 2, a search whose enumeration may hold more than
-    JOINT_MAX_TUPLES tuples at some stage (up to C(n_cells, min(G, n_cells // 2))) is refused
-    before any work.  The tuple is declared only when the summed statistic
-    reaches the threshold.  White noise only: the Gram's off-diagonal
-    inner products are not weighted by R^-1, so a cache built with
-    clutter is refused.
+    JOINT_MAX_TUPLES tuples at some stage (up to
+    C(n_cells, min(G, n_cells // 2))) is refused before any work.  The
+    tuple is declared only when the summed statistic reaches the
+    threshold.  White noise only: the Gram's off-diagonal inner products
+    are not weighted by R^-1, so a cache built with clutter is refused.
     """
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
@@ -326,7 +318,7 @@ def joint_search(observations, cache: ReplicaCache, n_targets: int,
     if not cache.noise.is_white:
         raise ValueError("joint search needs white noise; this cache was "
                          "built with clutter")
-    fld = objective_field(observations, cache)
+    fld = objective_field(segments, cache)
     report = DetectionReport(algorithm="joint", lambda_prime=threshold)
 
     if n_targets == 1:

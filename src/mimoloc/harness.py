@@ -49,8 +49,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import (DetectionReport, EstimatorConfig, ThresholdConfig,
                          calibrate_threshold, h0_objective_peaks,
-                         joint_search, sic_run, ssr_run, white_segments,
-                         whitened_observations)
+                         joint_search, sic_run, ssr_run, trial_segments)
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
                        TargetTruth, path_delay)
 from .likelihood import ReplicaCache, objective_field
@@ -59,6 +58,7 @@ from .signal import (NoiseModel, build_waveform_set, reference_energies,
 from .streams import TAG_HOLDOUT, TAG_NOISE, TAG_PHASE, substream
 
 VALID_RADIUS_M = 200.0
+ALGORITHMS = ("ssr", "sic", "joint")
 METRICS_HEADER = "algorithm,snr_db,target,pd,rmse_x_m,rmse_y_m,g_hat_mean,trials"
 
 
@@ -276,7 +276,7 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: pfa must lie in (0, 1)")
     seed = check_int(_require(raw, "seed", path), f"{path}: seed", 0)
     algorithm = _require(raw, "algorithm", path)
-    if algorithm not in ("ssr", "sic", "joint"):
+    if algorithm not in ALGORITHMS:
         raise ConfigError(f"{path}: algorithm must be ssr, sic or joint")
     check_white_for_joint(algorithm, clutter, f"{path}: algorithm")
     g_max = check_int(_require(raw, "g_max", path), f"{path}: g_max", 1)
@@ -398,11 +398,9 @@ def associate(report: DetectionReport, truths) -> list[int | None]:
 
 def trial_observations(ctx: RunContext, snr_db: float, trial: int,
                        target_indices=None):
-    """Every path's whitened echo plus noise for one trial: with white
-    noise the filled (n_paths, nfft) segment matrix of
-    estimators.white_segments, with clutter the list of synthesized and
-    whitened PathObservations; objective_field and joint_search take
-    either.
+    """Every path's whitened echo plus noise for one trial, as the filled
+    (n_paths, nfft) segment matrix of estimators.trial_segments that
+    objective_field and joint_search take.
 
     target_indices selects a subset of the configured targets (used by
     the single-target benchmark); phase streams stay keyed by the
@@ -427,13 +425,8 @@ def trial_observations(ctx: RunContext, snr_db: float, trial: int,
             ref_proportion=max(cfg.proportions),
             ref_energy=ctx.ref_energy)
 
-    if ctx.noise.is_white:
-        observations = white_segments(ctx.cache, scene, cfg.seed, TAG_NOISE,
-                                      trial)
-    else:
-        observations = whitened_observations(scene, ctx.waveforms, ctx.noise,
-                                             cfg.seed, TAG_NOISE, trial)
-    return observations, target_indices
+    return (trial_segments(ctx.cache, scene, cfg.seed, TAG_NOISE, trial),
+            target_indices)
 
 
 def run_trial(ctx: RunContext, snr_db: float, trial: int,
@@ -441,19 +434,21 @@ def run_trial(ctx: RunContext, snr_db: float, trial: int,
               target_indices=None):
     """One deterministic Monte Carlo trial: draw the whitened
     observations (trial_observations), evaluate the objective, run the
-    selected algorithm and associate detections with the truth."""
+    selected algorithm and associate detections with the truth.  An
+    unknown algorithm is refused before the trial is drawn."""
     cfg = ctx.cfg
     algorithm = algorithm or cfg.algorithm
-    observations, target_indices = trial_observations(
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    segments, target_indices = trial_observations(
         ctx, snr_db, trial, target_indices)
-    est_cfg = EstimatorConfig(g_max=cfg.g_max, algorithm=algorithm)
     if algorithm == "joint":
-        report = joint_search(observations, ctx.cache, len(target_indices),
+        report = joint_search(segments, ctx.cache, len(target_indices),
                               thresholds.lambda_prime)
     else:
-        fld = objective_field(observations, ctx.cache)
+        fld = objective_field(segments, ctx.cache)
         run = ssr_run if algorithm == "ssr" else sic_run
-        report = run(fld, thresholds, est_cfg)
+        report = run(fld, thresholds, EstimatorConfig(g_max=cfg.g_max))
 
     truths = [cfg.target_positions[g] for g in target_indices]
     assignment = associate(report, truths)

@@ -1,11 +1,13 @@
 """The replica cache and the gridded objective.
 
-All likelihood evaluation happens after whitening (signal.whiten).  With
-white noise the whitened noise covariance is the identity and the
-replica energies are s^H s.  With AR(1) clutter the observations arrive
-as R^-1 r and the ReplicaCache built with that noise model holds the
-energies s^H R^-1 s, so the objective field is the GLRT
-|s^H R^-1 r|^2 / (2 s^H R^-1 s) and its alphas the colored-noise MLEs.
+All likelihood evaluation reads whitened observations.  With white
+noise the whitened noise covariance is the identity and the replica
+energies are s^H s; white trials draw their whitened samples directly
+and never call signal.whiten.  With AR(1) clutter the observations are
+whitened to R^-1 r (signal.whiten) and the ReplicaCache built with that
+noise model holds the energies s^H R^-1 s, so the objective field is the
+GLRT |s^H R^-1 r|^2 / (2 s^H R^-1 s) and its alphas the colored-noise
+MLEs.
 The replica inner products, and so the joint search, take R = I: white
 noise only.  The field and the joint search take the cache alone: it is
 the one description of the scenario (waveforms, layout, grid, noise).
@@ -23,15 +25,16 @@ the per-cell work into an 8-tap gather (the hot kernel).  The tests hold
 it to the per-point oracles of mimoloc.reference.
 
 The correlation covers only the lags a path's gathers reach: each path's
-segment of the observation (gather span plus pulse) is one row of a
-matrix that white-noise trials draw straight into, noise and echoes
-(estimators.white_segments), transformed in place in one batched FFT;
-the cache's gather bases index the result.  On windows of at least
-THREAD_MIN_SAMPLES samples the per-path work of a trial (the segment
-draw, or synthesis and whitening under clutter; the gather) runs as one
-block of paths per worker thread (map_paths); numpy and scipy release
-the GIL in the draws and the sparse gather, and every path's result
-depends on that path alone, so the bytes do not depend on the thread count.
+segment of the observation (gather span plus pulse) is one row of the
+matrix every trial fills (estimators.trial_segments: white trials draw
+noise and echoes straight into it, clutter trials copy in the segment
+of the synthesized and whitened window), transformed in place in one
+batched FFT; the cache's gather bases index the result.  On windows of
+at least THREAD_MIN_SAMPLES samples the per-path work of a trial (the
+row fill, the gather) runs as one block of paths per worker thread
+(map_paths); numpy and scipy release the GIL in the draws and the sparse
+gather, and every path's result depends on that path alone, so the
+bytes do not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -302,30 +305,19 @@ def map_paths(fn, n_paths: int, n_samples: int) -> list:
     return out
 
 
-def objective_field(observations, cache: ReplicaCache) -> ObjectiveField:
+def objective_field(segments: np.ndarray,
+                    cache: ReplicaCache) -> ObjectiveField:
     """Evaluate every path's log-likelihood on every grid cell and sum.
 
-    observations: whitened PathObservations, one per path of the cache's
-    layout, or a filled segment matrix (cache.segment_slices), which is
-    overwritten.  The cache, built with the noise model, supplies the
+    segments: one trial's (n_paths, nfft) segment matrix
+    (cache.segment_slices, estimators.trial_segments), whitened against
+    the cache's noise model; it is overwritten.  The cache supplies the
     replica energies; the field shares its energy and bins arrays.
     """
     n_paths, n_cells = cache.energy.shape
-    if isinstance(observations, np.ndarray):
-        segments = observations
-    else:
-        obs_by_path = {}
-        for o in observations:
-            if not o.whitened:
-                raise ValueError("all observations must be whitened")
-            if o.path in obs_by_path:
-                raise ValueError(f"duplicate observation for path {o.path}")
-            obs_by_path[o.path] = o
-        if sorted(obs_by_path) != list(range(n_paths)):
-            raise ValueError("need exactly one observation per path")
-        segments = np.zeros((n_paths, cache.nfft), dtype=complex)
-        for p, (row, window) in enumerate(cache.segment_slices):
-            segments[p, row] = obs_by_path[p].r[window]
+    if np.shape(segments) != (n_paths, cache.nfft):
+        raise ValueError(f"need the ({n_paths}, {cache.nfft}) segment "
+                         f"matrix, got shape {np.shape(segments)}")
     corr = cache.correlate_all(segments)
 
     per_path_ll = np.empty((n_paths, n_cells))

@@ -21,6 +21,20 @@ def config_path(name: str) -> str:
     return os.path.join(CONFIG_DIR, name)
 
 
+def pack(observations, cache):
+    """A new segment matrix (cache.segment_slices) holding whitened
+    whole-window PathObservations, one per path in path order: the input
+    objective_field and joint_search take.  They overwrite it, so every
+    call makes a fresh one."""
+    segments = np.zeros((len(cache.segment), cache.nfft), dtype=complex)
+    assert [o.path for o in observations] == list(range(len(segments)))
+    for o, (row, window), out in zip(observations, cache.segment_slices,
+                                     segments):
+        assert o.whitened
+        out[row] = o.r[window]
+    return segments
+
+
 class SmallSetup:
     def __init__(self):
         self.layout = AntennaLayout.transceivers(

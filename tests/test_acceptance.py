@@ -23,7 +23,7 @@ from mimoloc.reference import (GramMatrix, alpha_mle_joint, delayed_replica,
 from mimoloc.signal import (NoiseModel, PathObservation, build_waveform_set,
                             synthesize_observation, whiten)
 
-from conftest import SmallSetup, config_path
+from conftest import SmallSetup, config_path, pack
 
 
 def report(num, name, ok, detail):
@@ -195,7 +195,7 @@ class TestCriterion5:
                     rng2.standard_normal(len(raw.r))
                     + 1j * rng2.standard_normal(len(raw.r)))
                 obs.append(PathObservation(path=p, r=r, whitened=True))
-            make = lambda: objective_field(obs, setup.cache)
+            make = lambda: objective_field(pack(obs, setup.cache), setup.cache)
             est = EstimatorConfig(g_max=g, early_stop=False)
             acc_ssr = ssr_run(make(), zero_thr, est).accumulated_objective
             acc_sic = sic_run(make(), zero_thr, est).accumulated_objective
@@ -236,10 +236,10 @@ def cell_observations(setup, cells, snr_db=None, seed=0):
 
 class TestCriterion6:
     def run_all_three(self, setup, obs, thresholds, joint_lam):
-        fld1 = objective_field(obs, setup.cache)
-        fld2 = objective_field(obs, setup.cache)
+        fld1 = objective_field(pack(obs, setup.cache), setup.cache)
+        fld2 = objective_field(pack(obs, setup.cache), setup.cache)
         est = EstimatorConfig(g_max=2)
-        rep_j = joint_search(obs, setup.cache, 2, joint_lam)
+        rep_j = joint_search(pack(obs, setup.cache), setup.cache, 2, joint_lam)
         rep_s = ssr_run(fld1, thresholds, est)
         rep_c = sic_run(fld2, thresholds, est)
         return rep_j, rep_s, rep_c
@@ -383,7 +383,7 @@ class TestCriterion9:
         c1 = setup.grid.nearest_cell(t1)
         c2 = setup.grid.nearest_cell(t2)
         obs = cell_observations(setup, [c1], seed=22)
-        rep = joint_search(obs, setup.cache, 2, 0.0)
+        rep = joint_search(pack(obs, setup.cache), setup.cache, 2, 0.0)
         gap = np.abs(setup.cache.delays[:, c1]
                      - setup.cache.delays[:, c2]).min()
         excluded = (gap >= setup.waveforms.Ts

@@ -2,8 +2,9 @@
 package but reference.py imports mimoloc.reference, no other module
 defines a name that reference.py defines, and the package root exports
 none of them.  One module builds the sparse tap operators: no module but
-_kernels.py references scipy.sparse.  The sources are parsed with ast,
-not imported.
+_kernels.py references scipy.sparse.  Trials reach the field as segment
+matrices: no module but signal.py, reference.py and the package root
+names PathObservation.  The sources are parsed with ast, not imported.
 """
 import ast
 import os
@@ -78,6 +79,19 @@ def references_sparse(tree):
     return False
 
 
+def named(tree):
+    """Every identifier a module uses: names, attributes, imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(alias.name.split(".")[-1] for alias in node.names)
+    return out
+
+
 REFERENCE_NAMES = defined_names(parse("reference.py"))
 
 
@@ -108,3 +122,14 @@ def test_sparse_only_in_kernels(name):
 
 def test_kernels_references_sparse():
     assert references_sparse(parse("_kernels.py"))
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n not in
+                                  ("signal.py", "reference.py",
+                                   "__init__.py")])
+def test_path_observation_stays_out_of_trials(name):
+    assert "PathObservation" not in named(parse(name))
+
+
+def test_path_observation_named_in_signal():
+    assert "PathObservation" in named(parse("signal.py"))

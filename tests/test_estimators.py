@@ -11,7 +11,7 @@ from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 gap_ok_tuples, h0_objective_peaks,
                                 joint_path_statistic, joint_search,
                                 peak_quantile, sic_modified_term, sic_run,
-                                sic_threshold, ssr_run, white_segments)
+                                sic_threshold, ssr_run, trial_segments)
 from mimoloc.geometry import Grid, Rect
 from mimoloc.likelihood import ObjectiveField, ReplicaCache, objective_field
 from mimoloc.reference import (alpha_mle_joint, gram_matrix,
@@ -20,6 +20,8 @@ from mimoloc.signal import (NoiseModel, PathObservation,
                             scale_alphas_for_snr, synthesize_observation,
                             whiten)
 from mimoloc.streams import TAG_CALIBRATION, TAG_SCENE, substream
+
+from conftest import pack
 
 
 def scene_observations(setup, scene, snr_db=None, seed=0, sigma_sq=1.0):
@@ -47,7 +49,7 @@ def scene_observations(setup, scene, snr_db=None, seed=0, sigma_sq=1.0):
 
 def field_for(setup, scene, snr_db=None, seed=0):
     obs = scene_observations(setup, scene, snr_db, seed)
-    return objective_field(obs, setup.cache)
+    return objective_field(pack(obs, setup.cache), setup.cache)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +105,7 @@ class TestCalibration:
                        s.scene([]), s.waveforms, noise, p,
                        substream(5, TAG_SCENE, t, p)), noise)
                    for p in range(s.layout.n_paths)]
-            fld = objective_field(obs, cache)
+            fld = objective_field(pack(obs, cache), cache)
             values.append(fld.per_path_ll[~cache.out_of_window])
         values = np.concatenate(values)
         assert np.mean(values) == pytest.approx(0.5, abs=0.04)
@@ -114,7 +116,7 @@ class TestCalibration:
         # give |z|^2 / 2 per in-window (path, cell), z ~ CN(0, 1)
         cache = two_antenna.cache
         empty = two_antenna.scene([])
-        values = [objective_field(white_segments(cache, empty, 5, TAG_SCENE,
+        values = [objective_field(trial_segments(cache, empty, 5, TAG_SCENE,
                                                  t),
                                   cache).per_path_ll[~cache.out_of_window]
                   for t in range(40)]
@@ -189,8 +191,8 @@ class TestWhiteH0Segments:
         empty = setup.scene([])
         scene = trial_scene(setup, WHITE_SCENES[setup_name])
         for t in range(3):
-            noise = white_segments(cache, empty, 5, TAG_CALIBRATION, t)
-            drawn = white_segments(cache, scene, 5, TAG_CALIBRATION, t)
+            noise = trial_segments(cache, empty, 5, TAG_CALIBRATION, t)
+            drawn = trial_segments(cache, scene, 5, TAG_CALIBRATION, t)
             # H0: the segment samples in a whole window, zeros elsewhere
             obs = []
             for p, (row, window) in enumerate(cache.segment_slices):
@@ -200,7 +202,7 @@ class TestWhiteH0Segments:
                 r = np.zeros(n, dtype=complex)
                 r[window] = noise[p, row]
                 obs.append(PathObservation(path=p, r=r, whitened=True))
-            peak = objective_field(obs, cache).combined.max()
+            peak = objective_field(pack(obs, cache), cache).combined.max()
             assert peak.tobytes() == peaks[t].tobytes()
             # with targets: the segment's noise, other noise elsewhere in
             # the window, and every target's whole whitened echo
@@ -211,7 +213,7 @@ class TestWhiteH0Segments:
                 r[window] = noise[p, row]
                 r += whitened_echo(setup, scene, setup.noise, p)
                 obs.append(PathObservation(path=p, r=r, whitened=True))
-            whole = objective_field(obs, cache).per_path_ll
+            whole = objective_field(pack(obs, cache), cache).per_path_ll
             np.testing.assert_allclose(
                 objective_field(drawn, cache).per_path_ll, whole, rtol=0,
                 atol=1e-10 * whole.max())
@@ -229,8 +231,8 @@ class TestWhiteH0Segments:
         noise = NoiseModel(sigma_sq=0.5 + np.arange(n_paths))
         cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
         scene = trial_scene(setup, WHITE_SCENES[setup_name])
-        diff = (white_segments(cache, scene, 9, TAG_CALIBRATION, 2)
-                - white_segments(cache, setup.scene([]), 9,
+        diff = (trial_segments(cache, scene, 9, TAG_CALIBRATION, 2)
+                - trial_segments(cache, setup.scene([]), 9,
                                  TAG_CALIBRATION, 2))
         for p, (row, window) in enumerate(cache.segment_slices):
             echo = whitened_echo(setup, scene, noise, p)[window]
@@ -238,6 +240,27 @@ class TestWhiteH0Segments:
             err = np.abs(diff[p, row] - echo).max()
             assert err <= 1e-12 * np.abs(echo).max()
             assert not np.any(np.delete(diff[p], np.arange(cache.nfft)[row]))
+
+
+class TestClutterSegments:
+    @pytest.mark.parametrize("setup_name", ["small", "tiny"])
+    def test_rows_are_whole_window_segments(self, setup_name, request):
+        # under clutter each row is the segment of the path's whole window,
+        # synthesized and whitened from the same stream, byte for byte, and
+        # zero past it (tiny: the segment clipped by the window end)
+        setup = request.getfixturevalue(setup_name)
+        noise = NoiseModel(sigma_sq=0.8, clutter=(0.9, 1.0))
+        cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
+        scene = trial_scene(setup, WHITE_SCENES[setup_name])
+        segments = trial_segments(cache, scene, 9, TAG_CALIBRATION, 2)
+        assert segments.shape == (setup.layout.n_paths, cache.nfft)
+        for p, (row, window) in enumerate(cache.segment_slices):
+            whole = whiten(synthesize_observation(
+                scene, setup.waveforms, noise, p,
+                substream(9, TAG_CALIBRATION, 2, p)), noise)
+            assert segments[p, row].tobytes() == whole.r[window].tobytes()
+            assert not np.any(np.delete(segments[p],
+                                        np.arange(cache.nfft)[row]))
 
 
 class TestSSR:
@@ -469,7 +492,7 @@ class TestProposition1:
                                        + 1j * rng2.standard_normal(len(o.r))),
                        whitened=True)
                    for o in obs]
-            make = lambda: objective_field(obs, small.cache)
+            make = lambda: objective_field(pack(obs, small.cache), small.cache)
             cfg = EstimatorConfig(g_max=g, early_stop=False)
             rep_ssr = ssr_run(make(), zero_thr, cfg)
             rep_sic = sic_run(make(), zero_thr, cfg)
@@ -482,8 +505,8 @@ class TestJointSearch:
     def test_single_target_equals_argmax(self, coarse):
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
-        fld = objective_field(obs, coarse.cache)
-        report = joint_search(obs, coarse.cache, 1, 1.0)
+        fld = objective_field(pack(obs, coarse.cache), coarse.cache)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 1, 1.0)
         assert report.g_hat == 1
         assert report.detections[0].cell == fld.argmax_cell()
 
@@ -495,7 +518,7 @@ class TestJointSearch:
                                coarse.grid.cell_center(c).y)
                               for c in (c1, c2)])
         obs = scene_observations(coarse, scene, seed=77)  # noise-free
-        report = joint_search(obs, coarse.cache, 2, 0.0)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 2, 0.0)
         assert {d.cell for d in report.detections} == {c1, c2}
 
         # oracle over a thinned candidate set that includes the truth
@@ -536,7 +559,7 @@ class TestJointSearch:
                               setup.grid.cell_center(c).y)
                              for c in (c1, c2)])
         obs = scene_observations(setup, scene, seed=55)  # noise-free
-        report = joint_search(obs, setup.cache, 2, 0.0)
+        report = joint_search(pack(obs, setup.cache), setup.cache, 2, 0.0)
         assert {d.cell for d in report.detections} == {c1, c2}
 
         n = setup.grid.n_cells
@@ -582,26 +605,26 @@ class TestJointSearch:
         scene = coarse.scene([(coarse.grid.cell_center(c1).x,
                                coarse.grid.cell_center(c1).y)])
         obs = scene_observations(coarse, scene, seed=78)
-        report = joint_search(obs, coarse.cache, 2, 0.0)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 2, 0.0)
         assert {det.cell for det in report.detections} != {c1, c2}
 
     def test_threshold_gates_declaration(self, coarse):
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
-        report = joint_search(obs, coarse.cache, 1, 1e12)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 1, 1e12)
         assert report.g_hat == 0
 
     def test_large_g_rejected(self, coarse):
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
         with pytest.raises(ValueError):
-            joint_search(obs, coarse.cache, 4, 0.0)
+            joint_search(pack(obs, coarse.cache), coarse.cache, 4, 0.0)
 
     def test_fine_grid_rejected_for_pairs(self, small):
         scene = small.scene([(2250.0, 2750.0)])
         obs = scene_observations(small, scene, snr_db=12.0, seed=31)
         with pytest.raises(ValueError):
-            joint_search(obs, small.cache, 2, 0.0)
+            joint_search(pack(obs, small.cache), small.cache, 2, 0.0)
 
     def test_three_targets_coarse_grid(self, coarse):
         cells = coarse.separated_cells(3, min_gap_samples=4.0,
@@ -609,7 +632,7 @@ class TestJointSearch:
         scene = coarse.scene([(coarse.grid.cell_center(c).x,
                                coarse.grid.cell_center(c).y) for c in cells])
         obs = scene_observations(coarse, scene, seed=79)
-        report = joint_search(obs, coarse.cache, 3, 0.0)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 3, 0.0)
         assert {d.cell for d in report.detections} == set(cells)
 
     def test_declared_alphas_match_gram_oracle(self, coarse):
@@ -618,7 +641,7 @@ class TestJointSearch:
         scene = coarse.scene([(coarse.grid.cell_center(c).x,
                                coarse.grid.cell_center(c).y) for c in cells])
         obs = scene_observations(coarse, scene, snr_db=15.0, seed=80)
-        report = joint_search(obs, coarse.cache, 3, 0.0)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 3, 0.0)
         assert {d.cell for d in report.detections} == set(cells)
         thetas = [d.location for d in report.detections]
         for p in range(coarse.layout.n_paths):
@@ -673,11 +696,11 @@ class TestJointSearch:
                             coarse.grid.n_cells - 1)
         scene = coarse.scene([(2250.0, 2750.0)])
         obs = scene_observations(coarse, scene, snr_db=12.0, seed=31)
-        fld = objective_field(obs, coarse.cache)
-        report = joint_search(obs, coarse.cache, 1, 0.0)
+        fld = objective_field(pack(obs, coarse.cache), coarse.cache)
+        report = joint_search(pack(obs, coarse.cache), coarse.cache, 1, 0.0)
         assert [d.cell for d in report.detections] == [fld.argmax_cell()]
         with pytest.raises(ValueError, match="budget"):
-            joint_search(obs, coarse.cache, 2, 0.0)
+            joint_search(pack(obs, coarse.cache), coarse.cache, 2, 0.0)
 
     def test_small_blocks_match_one_block(self, coarse, monkeypatch):
         # every tuple's value is elementwise, so scoring the tuples in
@@ -689,12 +712,14 @@ class TestJointSearch:
         for n_targets, chunks in ((2, (1, 64, 4099)), (3, (64, 4099))):
             n_tuples = len(gap_ok_tuples(coarse.cache, n_targets))
             monkeypatch.setattr(estimators, "JOINT_CHUNK", n_tuples)
-            want = joint_search(obs, coarse.cache, n_targets, 0.0)
+            want = joint_search(pack(obs, coarse.cache), coarse.cache,
+                                n_targets, 0.0)
             assert len(want.detections) == n_targets
             assert n_tuples % 4099
             for chunk in chunks:
                 monkeypatch.setattr(estimators, "JOINT_CHUNK", chunk)
-                got = joint_search(obs, coarse.cache, n_targets, 0.0)
+                got = joint_search(pack(obs, coarse.cache), coarse.cache,
+                                   n_targets, 0.0)
                 assert ([d.cell for d in got.detections]
                         == [d.cell for d in want.detections])
                 assert got.accumulated_objective == want.accumulated_objective
@@ -716,7 +741,8 @@ class TestJointSearch:
                                   for c, (dx, dy) in zip(centers, offsets)])
             obs = scene_observations(coarse, scene, snr_db, seed)
             found.append((n_targets, obs,
-                          joint_search(obs, coarse.cache, n_targets, 0.0)))
+                          joint_search(pack(obs, coarse.cache), coarse.cache,
+                                       n_targets, 0.0)))
 
         grams = {}
 
@@ -729,7 +755,8 @@ class TestJointSearch:
             return grams[key]
         monkeypatch.setattr(ReplicaCache, "gram", materialized)
         for n_targets, obs, want in found:
-            got = joint_search(obs, coarse.cache, n_targets, 0.0)
+            got = joint_search(pack(obs, coarse.cache), coarse.cache,
+                               n_targets, 0.0)
             assert ([d.cell for d in got.detections]
                     == [d.cell for d in want.detections])
             assert got.accumulated_objective == pytest.approx(
@@ -760,7 +787,7 @@ class TestJointPathStatistic:
         # materialized-replica oracles
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=81)
-        fld = objective_field(obs, coarse.cache)
+        fld = objective_field(pack(obs, coarse.cache), coarse.cache)
         cache, ts = coarse.cache, coarse.waveforms.Ts
         rng = np.random.default_rng(n_targets)
         tuples = []
@@ -797,7 +824,7 @@ class TestJointPathStatistic:
         # return the same bits as from a C-order copy
         scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
-        fld = objective_field(obs, coarse.cache)
+        fld = objective_field(pack(obs, coarse.cache), coarse.cache)
         cells = np.arange(coarse.grid.n_cells)
         tuples = gap_ok_tuples(coarse.cache, 3)[::97]
         for p in range(coarse.layout.n_paths):
@@ -854,10 +881,10 @@ class TestDetectorProperties:
         obs = scene_observations(coarse, coarse_scene(coarse, seed,
                                                       n_targets),
                                  snr_db=10.0, seed=seed)
-        fld = objective_field(obs, coarse.cache)
-        one = joint_search(obs, coarse.cache, 1, 0.0)
+        fld = objective_field(pack(obs, coarse.cache), coarse.cache)
+        one = joint_search(pack(obs, coarse.cache), coarse.cache, 1, 0.0)
         assert [d.cell for d in one.detections] == [fld.argmax_cell()]
-        two = joint_search(obs, coarse.cache, 2, 0.0)
+        two = joint_search(pack(obs, coarse.cache), coarse.cache, 2, 0.0)
         assert two.g_hat == 2
         thetas = two.locations()
         want = sum(joint_path_loglik(thetas, obs[p], coarse.waveforms,

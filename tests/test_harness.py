@@ -341,12 +341,20 @@ class TestRunTrial:
         b, _, _ = run_trial(ctx, 10.0, 3, thr)
         assert a.to_text() == b.to_text()
 
-    def test_threaded_observations_bytes(self, mini_ctx, monkeypatch):
+    @pytest.mark.parametrize("noise", ["white", "clutter"])
+    def test_threaded_observations_bytes(self, noise, mini_ctx, monkeypatch,
+                                         tmp_path):
         # the mini window (8961 samples) is serial by default; on worker
-        # threads every path's noise and echoes keep their bytes
+        # threads every path's noise and echoes keep their bytes, drawn
+        # into its row or, under clutter, synthesized, whitened and copied
+        # into the one shared matrix
         from mimoloc import likelihood
         from mimoloc.harness import trial_observations
         cfg, ctx, thr = mini_ctx
+        if noise == "clutter":
+            ctx = RunContext(load_scenario(write_mini(
+                tmp_path, noise=CLUTTER, algorithm="sic")))
+            assert not ctx.noise.is_white
         serial, _ = trial_observations(ctx, 10.0, 4)
         monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
         monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
@@ -360,7 +368,7 @@ class TestRunTrial:
         # the full scene (same phase stream, same reference) and the same
         # noise: on every path, full - solo - other is minus the trial's
         # noise-only segments, to rounding
-        from mimoloc.estimators import white_segments
+        from mimoloc.estimators import trial_segments
         from mimoloc.geometry import Scene
         from mimoloc.harness import trial_observations
         from mimoloc.streams import TAG_NOISE
@@ -369,7 +377,7 @@ class TestRunTrial:
         solo, _ = trial_observations(ctx, 10.0, 5, target_indices=[1])
         other, _ = trial_observations(ctx, 10.0, 5, target_indices=[0])
         empty = Scene(layout=ctx.layout, targets=(), region=cfg.region)
-        noise = white_segments(ctx.cache, empty, cfg.seed, TAG_NOISE, 5)
+        noise = trial_segments(ctx.cache, empty, cfg.seed, TAG_NOISE, 5)
         residual = full - solo - other + noise
         assert np.abs(solo - noise).max() > 0.1
         assert np.abs(other - noise).max() > 0.1
@@ -402,6 +410,21 @@ class TestRunTrial:
         cfg, ctx, thr = mini_ctx
         with pytest.raises(ValueError):
             run_trial(ctx, 10.0, 0, thr, algorithm="joint")
+
+    @pytest.mark.parametrize("algorithm", ["magic", "SSR", "ssr-single"])
+    def test_unknown_algorithm_refused_before_draw(self, algorithm, mini_ctx,
+                                                   monkeypatch):
+        # refused by name before the trial is drawn: no other name reaches
+        # SIC
+        from mimoloc import harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("a trial was drawn for an unknown algorithm")
+        monkeypatch.setattr(harness, "trial_observations", never)
+        monkeypatch.setattr(harness, "trial_segments", never)
+        cfg, ctx, thr = mini_ctx
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            run_trial(ctx, 10.0, 0, thr, algorithm=algorithm)
 
 
 class TestClutter:

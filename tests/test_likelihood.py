@@ -20,6 +20,8 @@ from mimoloc.reference import (alpha_mle_isolated, alpha_mle_joint,
 from mimoloc.signal import (NoiseModel, PathObservation, WaveformSet,
                             build_waveform_set, synthesize_observation, whiten)
 
+from conftest import pack
+
 
 def wobs(path, r):
     return PathObservation(path=path, r=np.asarray(r, dtype=complex),
@@ -117,7 +119,7 @@ class TestObjectiveField:
     def test_zero_observations(self, small):
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         assert np.all(fld.combined == 0.0)
         assert np.all(fld.per_path_ll >= 0.0)
 
@@ -126,7 +128,7 @@ class TestObjectiveField:
         # them, so no trial can alter the scenario's arrays
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         assert fld.energy is small.cache.energy
         assert fld.bins is small.cache.bins
         assert fld.grid is small.cache.grid
@@ -140,7 +142,7 @@ class TestObjectiveField:
         scene = small.scene([(small.grid.cell_center(cell).x,
                               small.grid.cell_center(cell).y)])
         obs = noise_free_observations(small, scene)
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         assert fld.argmax_cell() == cell
 
     def test_two_isolated_targets_dominate_background(self):
@@ -167,7 +169,7 @@ class TestObjectiveField:
                                             np.random.default_rng(0)).r,
                    whitened=True)
                for p in range(layout.n_paths)]
-        fld = objective_field(obs, cache)
+        fld = objective_field(pack(obs, cache), cache)
         fp1 = fld.footprint_of_cell(c1).any(axis=0)
         fp2 = fld.footprint_of_cell(c2).any(axis=0)
         outside = ~(fp1 | fp2)
@@ -179,7 +181,7 @@ class TestObjectiveField:
         # the FFT/tap evaluation equals the materialized-replica route
         scene = small.scene([(1750.0, 2250.0), (4250.0, 4750.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(11))
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         for p in (0, 5, 13):
             for c in range(0, small.grid.n_cells, 11):
                 direct = path_loglik(small.grid.cell_center(c), obs[p],
@@ -190,25 +192,39 @@ class TestObjectiveField:
     def test_nonnegative(self, small):
         scene = small.scene([(2750.0, 3250.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(5))
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         assert np.all(fld.per_path_ll >= 0.0)
         assert np.all(fld.combined >= 0.0)
 
-    def test_validation(self, small):
+    def test_validation(self, small, monkeypatch):
+        # a matrix of any other shape than (n_paths, nfft) is refused
+        # before any FFT: a missing path, a cut or padded row, the whole
+        # windows, one row, a stack of trials
+        cache = small.cache
+        n_paths, nfft = cache.energy.shape[0], cache.nfft
+        assert nfft != small.waveforms.n_samples
+
+        def never(*args, **kwargs):
+            raise AssertionError("a misshapen segment matrix was correlated")
+        monkeypatch.setattr(ReplicaCache, "correlate_all", never)
+        for shape in [(n_paths - 1, nfft), (n_paths, nfft - 1),
+                      (n_paths, nfft + 1), (nfft, n_paths),
+                      (n_paths, small.waveforms.n_samples), (nfft,),
+                      (1, n_paths, nfft)]:
+            with pytest.raises(ValueError, match="segment matrix"):
+                objective_field(np.zeros(shape, dtype=complex), cache)
+        # nor are whole-window observations: the segments come packed
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
-               for p in range(small.layout.n_paths)]
-        with pytest.raises(ValueError):
-            objective_field(obs[:-1], small.cache)
-        unwhitened = [PathObservation(path=p, r=o.r) for p, o in enumerate(obs)]
-        with pytest.raises(ValueError):
-            objective_field(unwhitened, small.cache)
+               for p in range(n_paths)]
+        with pytest.raises(ValueError, match="segment matrix"):
+            objective_field(obs, cache)
 
     def test_footprint_matches_geometry_route(self, small):
         # the field's cached-bin footprint equals the geometry module's
         from mimoloc.reference import footprint
         obs = [wobs(p, np.zeros(small.waveforms.n_samples))
                for p in range(small.layout.n_paths)]
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         for cell in (0, 1234, small.grid.n_cells - 1):
             per_path, union = footprint(small.grid.cell_center(cell),
                                         small.grid, small.layout,
@@ -220,7 +236,7 @@ class TestObjectiveField:
     def test_cancellation_bookkeeping(self, small):
         scene = small.scene([(2750.0, 3250.0), (4250.0, 1250.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(9))
-        fld = objective_field(obs, small.cache)
+        fld = objective_field(pack(obs, small.cache), small.cache)
         original = fld.per_path_ll.copy()
         cell = fld.argmax_cell()
         mask = fld.footprint_of_cell(cell)
@@ -297,7 +313,7 @@ class TestReachableLags:
                               setup.grid.cell_center(c).y)
                              for c in (0, setup.grid.n_cells // 2)])
         obs = noisy_observations(setup, scene, np.random.default_rng(21))
-        fld = objective_field(obs, cache)
+        fld = objective_field(pack(obs, cache), cache)
         for p in range(setup.layout.n_paths):
             cells = np.flatnonzero(~cache.out_of_window[p])
             base = cache.gather_base[p, cells]
@@ -334,13 +350,14 @@ class TestThreadedPaths:
         # the threads interleave often while they write the field rows
         scene = small.scene([(2750.0, 3250.0), (4250.0, 1250.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(3))
-        serial = objective_field(obs, small.cache)
+        serial = objective_field(pack(obs, small.cache), small.cache)
         monkeypatch.setattr(likelihood, "THREAD_MIN_SAMPLES", 0)
         monkeypatch.setattr(likelihood, "_FFT_WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            fields = [objective_field(obs, small.cache) for _ in range(5)]
+            fields = [objective_field(pack(obs, small.cache), small.cache)
+                      for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         for threaded in fields:
@@ -405,7 +422,8 @@ class TestClutterGLRT:
         raw = [synthesize_observation(scene, setup.waveforms, noise, p,
                                       np.random.default_rng(10 + p))
                for p in range(setup.layout.n_paths)]
-        fld = objective_field([whiten(o, noise) for o in raw], cache)
+        fld = objective_field(pack([whiten(o, noise) for o in raw], cache),
+                              cache)
         r_inv = np.linalg.inv(covariance(noise, setup.waveforms.n_samples))
         for p, obs in enumerate(raw):
             cells, energy, cross = self.dense_terms(setup, p, r_inv,
