@@ -10,11 +10,16 @@ BACKEND = "numpy"
 def band_operator(base, weights, n_cols):
     """(n_rows x n_cols) CSR matrix whose row c holds weights[c] at columns
     base[c] + arange(weights.shape[1]); a product with it sums each row's
-    terms from zero in column order."""
+    terms from zero in column order.  base is int32.  The data is
+    weights.ravel(), a view of a C-contiguous weights: the arrays are set
+    on an empty matrix because the (data, indices, indptr) constructor
+    copies a data view smaller than half of its base (prune), as one
+    path's rows of the cache's taps always are."""
     cols = base[:, None] + np.arange(weights.shape[1], dtype=np.int32)
     rows = np.arange(0, weights.size + 1, weights.shape[1], dtype=np.int32)
-    return scipy.sparse.csr_matrix((weights.ravel(), cols.ravel(), rows),
-                                   shape=(len(base), n_cols))
+    op = scipy.sparse.csr_matrix((len(base), n_cols), dtype=weights.dtype)
+    op.indptr, op.indices, op.data = rows, cols.ravel(), weights.ravel()
+    return op
 
 
 def path_objective(corr, n0, taps, energy, cross_out, ll_out):

@@ -148,38 +148,46 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
 
 def trial_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
                    trial: int) -> np.ndarray:
-    """Segment matrix (cache.segment_slices) of one trial of a scene on the
+    """Segment matrix (cache.blocks_of) of one trial of a scene on the
     cache's layout, whitened against the cache's noise model, path p's
-    noise drawn from stream (seed, tag, trial, p).  White noise: whitened
-    noise is i.i.d. CN(0, 1), drawn straight into row p; then each
-    target's echo (signal.path_echoes, the spans synthesize_observation
-    adds) over sigma_p is added where it overlaps the row.  Clutter: the
-    whole window is synthesized and whitened (R^-1 r), and its segment
-    copied into the row.  Samples outside a row's segment reach no
-    gather, so the field is that of the whitened full window on the same
-    samples.  Paths run on worker threads for large windows (map_paths);
-    the bytes do not change."""
+    noise drawn from stream (seed, tag, trial, p).  Each path's segment
+    (cache.segment_slices) is filled, then copied into the path's
+    overlap-save blocks; a path with one block is filled in place.  White
+    noise: whitened noise is i.i.d. CN(0, 1), drawn straight into the
+    segment; then each target's echo (signal.path_echoes, the spans
+    synthesize_observation adds) over sigma_p is added where it overlaps
+    the segment.  Clutter: the whole window is synthesized and whitened
+    (R^-1 r), and its segment copied in.  Samples outside a segment reach
+    no gather, so the field is that of the whitened full window on the
+    same samples.  Paths run on worker threads for large windows
+    (map_paths); the bytes do not change."""
     noise, waveforms = cache.noise, cache.waveforms
-    segments = np.zeros((len(cache.segment), cache.nfft), dtype=complex)
+    segments = np.zeros((int(cache.path_blocks[-1]), cache.nfft),
+                        dtype=complex)
 
     def fill(p):
         (row, window), shift = cache.segment_slices[p], cache.lag_start[p]
+        blocks = segments[cache.path_blocks[p]: cache.path_blocks[p + 1]]
+        segment = (blocks[0] if len(blocks) == 1 else
+                   np.zeros(cache.block_span[p], dtype=complex))
         rng = substream(seed, tag, trial, p)
         if not noise.is_white:
-            segments[p, row] = whiten(synthesize_observation(
+            segment[row] = whiten(synthesize_observation(
                 scene, waveforms, noise, p, rng), noise).r[window]
-            return
-        sigma = np.sqrt(white_sigma_sq(noise, p))   # whiten's refusal
-        draw = segments[p, row].view(float)
-        rng.standard_normal(out=draw)
-        draw *= np.sqrt(0.5)
-        for start, echo in path_echoes(scene, waveforms, p):
-            a, b = max(start, window.start), min(start + len(echo),
-                                                 window.stop)
-            if a < b:
-                segments[p, a - shift: b - shift] += (
-                    echo[a - start: b - start] / sigma)
-    map_paths(fill, len(segments), waveforms.n_samples)
+        else:
+            sigma = np.sqrt(white_sigma_sq(noise, p))   # whiten's refusal
+            draw = segment[row].view(float)
+            rng.standard_normal(out=draw)
+            draw *= np.sqrt(0.5)
+            for start, echo in path_echoes(scene, waveforms, p):
+                a, b = max(start, window.start), min(start + len(echo),
+                                                     window.stop)
+                if a < b:
+                    segment[a - shift: b - shift] += (
+                        echo[a - start: b - start] / sigma)
+        if len(blocks) > 1:
+            blocks[:] = cache.blocks_of(p, segment)
+    map_paths(fill, len(cache.segment), waveforms.n_samples)
     return segments
 
 

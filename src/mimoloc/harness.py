@@ -399,7 +399,7 @@ def associate(report: DetectionReport, truths) -> list[int | None]:
 def trial_observations(ctx: RunContext, snr_db: float, trial: int,
                        target_indices=None):
     """Every path's whitened echo plus noise for one trial, as the filled
-    (n_paths, nfft) segment matrix of estimators.trial_segments that
+    (blocks, nfft) segment matrix of estimators.trial_segments that
     objective_field and joint_search take.
 
     target_indices selects a subset of the configured targets (used by

@@ -19,22 +19,24 @@ Toeplitz form for the energies, and for a path's Gram matrix one sparse
 product of two band operators (_kernels.band_operator), the taps against
 the autocorrelation convolved with each cell's taps.
 
-objective_field evaluates every cell through one FFT cross-correlation
-per path plus the fractional-delay interpolation weights, which turns
+objective_field evaluates every cell through the FFT cross-correlation
+of each path plus the fractional-delay interpolation weights, which turns
 the per-cell work into an 8-tap gather (the hot kernel).  The tests hold
 it to the per-point oracles of mimoloc.reference.
 
 The correlation covers only the lags a path's gathers reach: each path's
-segment of the observation (gather span plus pulse) is one row of the
-matrix every trial fills (estimators.trial_segments: white trials draw
-noise and echoes straight into it, clutter trials copy in the segment
-of the synthesized and whitened window), transformed in place in one
-batched FFT; the cache's gather bases index the result.  On windows of
-at least THREAD_MIN_SAMPLES samples the per-path work of a trial (the
-row fill, the gather) runs as one block of paths per worker thread
-(map_paths); numpy and scipy release the GIL in the draws and the sparse
-gather, and every path's result depends on that path alone, so the
-bytes do not depend on the thread count.
+segment of the observation (gather span plus pulse) is cut into
+overlap-save blocks of nfft samples, rows of the matrix every trial
+fills (estimators.trial_segments: white trials draw noise and echoes
+into the segment, clutter trials copy in the segment of the synthesized
+and whitened window; either is then copied into its blocks), all
+transformed in place in one batched FFT; the cache's gather indices
+read the result.  On windows of at least THREAD_MIN_SAMPLES samples the
+per-path work of a trial (the segment fill, the gather) runs as one
+block of paths per worker thread (map_paths); numpy and scipy release
+the GIL in the draws and the sparse gather, and every path's result
+depends on that path alone, so the bytes do not depend on the thread
+count.
 """
 from __future__ import annotations
 
@@ -53,6 +55,9 @@ _FFT_WORKERS = min(4, os.cpu_count() or 1)
 THREAD_MIN_SAMPLES = 1 << 14
 # (path, cell) entries per interp_taps call while building the cache
 TAP_BLOCK = 1 << 14
+# longest overlap-save block, in pulses: longer segments are correlated
+# in blocks of about this length (ReplicaCache.nfft)
+BLOCK_PULSES = 16
 _pool = None                 # map_paths' worker threads, made on first use
 _pool_lock = threading.Lock()
 
@@ -123,25 +128,34 @@ class ReplicaCache:
 
     Geometry (delays, range bins), interpolation weights and replica
     energies depend only on (waveforms, layout, grid, noise), so they are
-    built once; per-trial work reduces to one FFT correlation per path
-    plus the tap gather.  noise (default white) sets the energies: s^H s
-    for white noise, s^H R^-1 s with clutter.  The arrays are read-only
-    once built: every objective field of the scenario shares them.
+    built once; per-trial work reduces to the FFT correlation of each
+    path's blocks plus the tap gather.  noise (default white) sets the
+    energies: s^H s for white noise, s^H R^-1 s with clutter.  The arrays
+    are read-only once built: every objective field of the scenario
+    shares them.
 
     Path p's in-window gathers read the correlation lags lag_start[p]
     onwards, which depend on the observation samples lag_start[p] ..
     lag_start[p] + segment[p] - 1 (samples outside the window are 0);
-    segment_slices[p] is the (row, window) slice pair that puts them in
-    row p of the zeroed (n_paths, nfft) input of correlate_all.
-    gather_base[p, c] is the first lag cell c reads, counted from
-    lag_start[p]: an index into row p of correlate_all.  nfft, the
-    length of every correlated row, is the fast FFT length of the longest
-    segment.  Out-of-window cells have zero taps, energy and base.
+    segment_slices[p] is the (row, window) slice pair that puts them in a
+    zeroed segment buffer of block_span[p] samples.  gather_base[p, c] is
+    the first lag cell c reads, counted from lag_start[p].  The segments
+    are correlated by overlap-save: nfft = L, the block length, is the
+    fast FFT length of the longest segment but at most about BLOCK_PULSES
+    pulses.  Path p's blocks are rows path_blocks[p] .. path_blocks[p + 1]
+    - 1 of the (path_blocks[-1], L) input of correlate_all (blocks_of):
+    block k holds buffer samples k * block_step .. k * block_step + L - 1
+    and yields the L - p + 1 lags from k * block_step on unwrapped, and
+    block_step = L - p + 1 - (KERNEL_TAPS - 1) lets each cell's taps lie
+    inside one block.  gather_index[p, c] is cell c's first lag as a flat
+    index into the path's blocks, raveled; a path whose segment fits in L
+    samples has one block, and there gather_index equals gather_base.
+    Out-of-window cells have zero taps, energy, base and index.
     autocorr[k, p - 1 + d] = ac_k(d) = sum_m conj(s_k[m]) s_k[m + d] over
     waveform k's p-sample pulse: the one table of the inner products
     (energy, and gram, the joint search's per-path Gram matrices).
-    pulse_fft_conj[k] is the conjugate nfft-point spectrum of pulse k,
-    shared by the n_rx paths that transmit it.
+    pulse_fft_conj[k] is the conjugate L-point spectrum of pulse k, shared
+    by the blocks of the n_rx paths that transmit it.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -192,9 +206,20 @@ class ReplicaCache:
             self.energy = self._clutter_energies(n0)
         self.energy[self.out_of_window] = 0.0
 
-        # a segment of S samples against the pulse of p samples reaches
-        # S - p + 1 lags; an FFT of at least S points keeps them unwrapped
-        self.nfft = scipy.fft.next_fast_len(int(self.segment.max()))
+        # overlap-save: a block of L samples against the pulse of p samples
+        # reaches L - p + 1 unwrapped lags, and a path's blocks start
+        # block_step apart, so each cell's taps lie inside one block
+        p = waveforms.pulse_samples
+        self.nfft = scipy.fft.next_fast_len(
+            int(min(self.segment.max(), BLOCK_PULSES * p)))
+        self.block_step = self.nfft - p + 1 - (KERNEL_TAPS - 1)
+        block = self.gather_base // self.block_step
+        n_blocks = block.max(axis=1) + 1
+        self.path_blocks = np.concatenate(([0], np.cumsum(n_blocks))).astype(
+            np.int32)
+        self.block_span = (n_blocks - 1) * self.block_step + self.nfft
+        self.gather_index = self.gather_base + block * (self.nfft
+                                                        - self.block_step)
         self.pulse_fft_conj = np.conj(scipy.fft.fft(pulses, self.nfft,
                                                     axis=1))
         for value in vars(self).values():
@@ -261,21 +286,39 @@ class ReplicaCache:
         np.fill_diagonal(gram, self.energy[path, cells])
         return gram
 
+    def blocks_of(self, path: int, segment: np.ndarray) -> np.ndarray:
+        """Path p's overlap-save blocks: the read-only (n, nfft) view of
+        segment, a buffer of block_span[p] samples (the path's segment,
+        zero past it), whose block k is segment[k * block_step: k *
+        block_step + nfft]; rows path_blocks[p] .. path_blocks[p + 1] - 1
+        of the segment matrix hold them.  With one block it is the buffer."""
+        if segment.shape != (self.block_span[path],):
+            raise ValueError(f"path {path} needs a segment buffer of "
+                             f"{self.block_span[path]} samples, got shape "
+                             f"{segment.shape}")
+        n = self.path_blocks[path + 1] - self.path_blocks[path]
+        step = segment.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            segment, (n, self.nfft), (self.block_step * step, step),
+            writeable=False)
+
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
         """Cross-correlation of each path's observation with its pulse at
-        the lags its gathers reach, all paths in one batched FFT, in place
-        on obs_matrix, the (n_paths, nfft) segment matrix (segment_slices)
-        ordered by flat path index; returns it with row p holding
-        corr[lag_start[p] + j] at j, corr[m] = sum_n conj(s[n - m]) r[n],
-        for every lag a gather_base of path p reaches."""
+        the lags its gathers reach, every block of every path in one
+        batched FFT, in place on obs_matrix, the (path_blocks[-1], nfft)
+        segment matrix (blocks_of) ordered by flat path index; returns it
+        with row path_blocks[p] + k holding corr[lag_start[p] + k *
+        block_step + j] at j <= nfft - pulse_samples, corr[m] = sum_n
+        conj(s[n - m]) r[n]: gather_index[p] indexes the path's rows,
+        raveled, at each cell's first lag."""
         spec = scipy.fft.fft(obs_matrix, axis=1, workers=_FFT_WORKERS,
                              overwrite_x=True)
-        # flat path l * n_tx + k correlates with pulse k
-        n_tx = self.layout.n_tx
-        by_rx = spec.reshape(-1, n_tx, self.nfft)
-        by_rx *= self.pulse_fft_conj[:n_tx]
-        return scipy.fft.ifft(by_rx.reshape(spec.shape), axis=1,
-                              workers=_FFT_WORKERS, overwrite_x=True)
+        # each path's blocks correlate with its transmitter's pulse
+        for p, k in enumerate(self.path_tx):
+            spec[self.path_blocks[p]: self.path_blocks[p + 1]] *= (
+                self.pulse_fft_conj[k])
+        return scipy.fft.ifft(spec, axis=1, workers=_FFT_WORKERS,
+                              overwrite_x=True)
 
 
 def map_paths(fn, n_paths: int, n_samples: int) -> list:
@@ -309,23 +352,26 @@ def objective_field(segments: np.ndarray,
                     cache: ReplicaCache) -> ObjectiveField:
     """Evaluate every path's log-likelihood on every grid cell and sum.
 
-    segments: one trial's (n_paths, nfft) segment matrix
-    (cache.segment_slices, estimators.trial_segments), whitened against
-    the cache's noise model; it is overwritten.  The cache supplies the
+    segments: one trial's (path_blocks[-1], nfft) segment matrix
+    (cache.blocks_of, estimators.trial_segments), whitened against the
+    cache's noise model; it is overwritten.  The cache supplies the
     replica energies; the field shares its energy and bins arrays.
     """
     n_paths, n_cells = cache.energy.shape
-    if np.shape(segments) != (n_paths, cache.nfft):
-        raise ValueError(f"need the ({n_paths}, {cache.nfft}) segment "
-                         f"matrix, got shape {np.shape(segments)}")
+    shape = (int(cache.path_blocks[-1]), cache.nfft)
+    if np.shape(segments) != shape:
+        raise ValueError(f"need the {shape} segment matrix, got shape "
+                         f"{np.shape(segments)}")
     corr = cache.correlate_all(segments)
 
     per_path_ll = np.empty((n_paths, n_cells))
     cross = np.empty((n_paths, n_cells), dtype=complex)
 
     def gather(p):
-        _kernels.path_objective(corr[p], cache.gather_base[p], cache.taps[p],
-                                cache.energy[p], cross[p], per_path_ll[p])
+        blocks = corr[cache.path_blocks[p]: cache.path_blocks[p + 1]]
+        _kernels.path_objective(blocks.ravel(), cache.gather_index[p],
+                                cache.taps[p], cache.energy[p], cross[p],
+                                per_path_ll[p])
 
     map_paths(gather, n_paths, cache.waveforms.n_samples)
     return ObjectiveField(grid=cache.grid, per_path_ll=per_path_ll,

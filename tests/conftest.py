@@ -22,17 +22,33 @@ def config_path(name: str) -> str:
 
 
 def pack(observations, cache):
-    """A new segment matrix (cache.segment_slices) holding whitened
+    """A new segment matrix (cache.blocks_of) holding whitened
     whole-window PathObservations, one per path in path order: the input
     objective_field and joint_search take.  They overwrite it, so every
     call makes a fresh one."""
-    segments = np.zeros((len(cache.segment), cache.nfft), dtype=complex)
-    assert [o.path for o in observations] == list(range(len(segments)))
-    for o, (row, window), out in zip(observations, cache.segment_slices,
-                                     segments):
+    segments = np.zeros((cache.path_blocks[-1], cache.nfft), dtype=complex)
+    assert [o.path for o in observations] == list(range(len(cache.segment)))
+    for p, (o, (row, window)) in enumerate(zip(observations,
+                                               cache.segment_slices)):
         assert o.whitened
-        out[row] = o.r[window]
+        segment = np.zeros(cache.block_span[p], dtype=complex)
+        segment[row] = o.r[window]
+        segments[cache.path_blocks[p]: cache.path_blocks[p + 1]] = (
+            cache.blocks_of(p, segment))
     return segments
+
+
+def unpack(segments, cache, p):
+    """Path p's segment buffer (cache.block_span[p] samples) read back out
+    of its blocks of a segment matrix: the first block whole, then each
+    block past its overlap with the one before.  The blocks must be exactly
+    cache.blocks_of that buffer: every overlap agrees."""
+    blocks = segments[cache.path_blocks[p]: cache.path_blocks[p + 1]]
+    overlap = cache.nfft - cache.block_step
+    segment = np.concatenate([blocks[0, :overlap],
+                              blocks[:, overlap:].ravel()])
+    assert cache.blocks_of(p, segment).tobytes() == blocks.tobytes()
+    return segment
 
 
 class SmallSetup:

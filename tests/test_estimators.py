@@ -21,7 +21,7 @@ from mimoloc.signal import (NoiseModel, PathObservation,
                             whiten)
 from mimoloc.streams import TAG_CALIBRATION, TAG_SCENE, substream
 
-from conftest import pack
+from conftest import pack, unpack
 
 
 def scene_observations(setup, scene, snr_db=None, seed=0, sigma_sq=1.0):
@@ -197,10 +197,11 @@ class TestWhiteH0Segments:
             obs = []
             for p, (row, window) in enumerate(cache.segment_slices):
                 for segments in (noise, drawn):
-                    assert not np.any(np.delete(segments[p],
-                                                np.arange(cache.nfft)[row]))
+                    span = np.arange(cache.block_span[p])
+                    assert not np.any(np.delete(unpack(segments, cache, p),
+                                                span[row]))
                 r = np.zeros(n, dtype=complex)
-                r[window] = noise[p, row]
+                r[window] = unpack(noise, cache, p)[row]
                 obs.append(PathObservation(path=p, r=r, whitened=True))
             peak = objective_field(pack(obs, cache), cache).combined.max()
             assert peak.tobytes() == peaks[t].tobytes()
@@ -210,7 +211,7 @@ class TestWhiteH0Segments:
             obs = []
             for p, (row, window) in enumerate(cache.segment_slices):
                 r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                r[window] = noise[p, row]
+                r[window] = unpack(noise, cache, p)[row]
                 r += whitened_echo(setup, scene, setup.noise, p)
                 obs.append(PathObservation(path=p, r=r, whitened=True))
             whole = objective_field(pack(obs, cache), cache).per_path_ll
@@ -237,9 +238,11 @@ class TestWhiteH0Segments:
         for p, (row, window) in enumerate(cache.segment_slices):
             echo = whitened_echo(setup, scene, noise, p)[window]
             assert np.abs(echo).max() > 0
-            err = np.abs(diff[p, row] - echo).max()
+            segment = unpack(diff, cache, p)
+            err = np.abs(segment[row] - echo).max()
             assert err <= 1e-12 * np.abs(echo).max()
-            assert not np.any(np.delete(diff[p], np.arange(cache.nfft)[row]))
+            assert not np.any(np.delete(segment,
+                                        np.arange(cache.block_span[p])[row]))
 
 
 class TestClutterSegments:
@@ -253,14 +256,15 @@ class TestClutterSegments:
         cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
         scene = trial_scene(setup, WHITE_SCENES[setup_name])
         segments = trial_segments(cache, scene, 9, TAG_CALIBRATION, 2)
-        assert segments.shape == (setup.layout.n_paths, cache.nfft)
+        assert segments.shape == (cache.path_blocks[-1], cache.nfft)
         for p, (row, window) in enumerate(cache.segment_slices):
             whole = whiten(synthesize_observation(
                 scene, setup.waveforms, noise, p,
                 substream(9, TAG_CALIBRATION, 2, p)), noise)
-            assert segments[p, row].tobytes() == whole.r[window].tobytes()
-            assert not np.any(np.delete(segments[p],
-                                        np.arange(cache.nfft)[row]))
+            segment = unpack(segments, cache, p)
+            assert segment[row].tobytes() == whole.r[window].tobytes()
+            assert not np.any(np.delete(segment,
+                                        np.arange(cache.block_span[p])[row]))
 
 
 class TestSSR:

@@ -360,7 +360,7 @@ class TestRunTrial:
         monkeypatch.setattr(likelihood, "_FFT_WORKERS", 3)
         threaded, _ = trial_observations(ctx, 10.0, 4)
         assert cfg.n_targets == 2
-        assert threaded.shape == (ctx.layout.n_paths, ctx.cache.nfft)
+        assert threaded.shape == (ctx.cache.path_blocks[-1], ctx.cache.nfft)
         assert serial.tobytes() == threaded.tobytes()
 
     def test_benchmark_subset_pairs_with_full_run(self, mini_ctx):

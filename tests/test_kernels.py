@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mimoloc import KERNEL_BACKEND, _kernels
 
@@ -47,6 +48,24 @@ def test_csr_product_bytes_match_tap_loop(rng):
     assert cross.tobytes() == want.tobytes()
     assert ll.tobytes() == want_ll.tobytes()
     assert not np.any(cross[::13]) and not np.any(ll[::17])
+
+
+def test_operator_shares_the_taps(rng):
+    # one path's rows of a (paths, cells, taps) stack, as the gather reads
+    # the cache's taps: the operator's data is a view of them, not a copy,
+    # and the product has the bytes of the constructor-built operator's
+    corr, n0, taps, energy = random_inputs(rng, n_cells=2000)
+    stack = np.stack([2.0 * taps, taps, 0.5 * taps])
+    op = _kernels.band_operator(n0, stack[1], len(corr))
+    assert np.shares_memory(op.data, stack[1])
+    cols = n0[:, None] + np.arange(taps.shape[1], dtype=np.int32)
+    rows = np.arange(0, taps.size + 1, taps.shape[1], dtype=np.int32)
+    built = scipy.sparse.csr_matrix((taps.ravel(), cols.ravel(), rows),
+                                    shape=op.shape)
+    pairs = corr.view(float).reshape(-1, 2)
+    assert (op @ pairs).tobytes() == (built @ pairs).tobytes()
+    assert run(corr, n0, stack[1], energy)[0].tobytes() == (
+        run(corr, n0, taps, energy)[0].tobytes())
 
 
 def test_backend_reported():

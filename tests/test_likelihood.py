@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from mimoloc import likelihood
+from mimoloc import _kernels, likelihood
 from mimoloc.errors import CoincidentDelayError
 from mimoloc.estimators import h0_objective_peaks
 from mimoloc.geometry import AntennaLayout, Grid, Position2D, Rect
@@ -197,20 +197,23 @@ class TestObjectiveField:
         assert np.all(fld.combined >= 0.0)
 
     def test_validation(self, small, monkeypatch):
-        # a matrix of any other shape than (n_paths, nfft) is refused
-        # before any FFT: a missing path, a cut or padded row, the whole
-        # windows, one row, a stack of trials
+        # a matrix of any other shape than (blocks, nfft) is refused before
+        # any FFT: a missing block, a cut or padded block, one row per
+        # path, the whole windows, one row, a stack of trials
         cache = small.cache
         n_paths, nfft = cache.energy.shape[0], cache.nfft
+        n_blocks = cache.path_blocks[-1]
         assert nfft != small.waveforms.n_samples
+        assert n_blocks != n_paths
 
         def never(*args, **kwargs):
             raise AssertionError("a misshapen segment matrix was correlated")
         monkeypatch.setattr(ReplicaCache, "correlate_all", never)
-        for shape in [(n_paths - 1, nfft), (n_paths, nfft - 1),
-                      (n_paths, nfft + 1), (nfft, n_paths),
+        for shape in [(n_blocks - 1, nfft), (n_blocks, nfft - 1),
+                      (n_blocks, nfft + 1), (nfft, n_blocks),
+                      (n_paths, nfft), (n_blocks, small.waveforms.n_samples),
                       (n_paths, small.waveforms.n_samples), (nfft,),
-                      (1, n_paths, nfft)]:
+                      (1, n_blocks, nfft)]:
             with pytest.raises(ValueError, match="segment matrix"):
                 objective_field(np.zeros(shape, dtype=complex), cache)
         # nor are whole-window observations: the segments come packed
@@ -288,19 +291,76 @@ class TestReplicaInnerProducts:
 
 class TestReachableLags:
     """The field correlates only the lags each path's gathers reach, in
-    one batched FFT at the longest path's segment."""
+    overlap-save blocks of nfft samples, all in one batched FFT."""
 
     @pytest.mark.parametrize("setup_name", ["small", "tiny"])
-    def test_nfft_is_fast_length_of_longest_segment(self, setup_name,
-                                                    request):
-        cache = request.getfixturevalue(setup_name).cache
-        assert cache.nfft == scipy.fft.next_fast_len(int(cache.segment.max()))
-        # every in-window gather, pulse included, stays inside its segment
-        p = cache.waveforms.pulse_samples
-        for base, oow, seg in zip(cache.gather_base, cache.out_of_window,
-                                  cache.segment):
+    def test_block_layout(self, setup_name, request):
+        setup = request.getfixturevalue(setup_name)
+        cache = setup.cache
+        p, n = setup.waveforms.pulse_samples, setup.waveforms.n_samples
+        L, step = cache.nfft, cache.block_step
+        # the block length: the longest segment, up to 16 pulses
+        assert L == scipy.fft.next_fast_len(
+            int(min(cache.segment.max(), 16 * p)))
+        assert step == L - p + 1 - 7
+        n_blocks = np.diff(cache.path_blocks)
+        for path, (base, index, oow, seg) in enumerate(zip(
+                cache.gather_base, cache.gather_index, cache.out_of_window,
+                cache.segment)):
+            # every in-window gather, pulse included, stays inside its
+            # segment
             assert base[~oow].min() == 0
             assert base[~oow].max() + 8 + p - 1 == seg
+            # each cell's 8 taps lie among one block's L - p + 1 valid lags,
+            # at the cell's lag from the segment start
+            block, lag = np.divmod(index[~oow], L)
+            assert np.all(lag + 8 <= L - p + 1)
+            assert np.array_equal(block * step + lag, base[~oow])
+            # the blocks cover the segment, and its last gathers read the
+            # last block
+            assert cache.block_span[path] == (n_blocks[path] - 1) * step + L
+            assert cache.block_span[path] >= seg
+            assert block.max() == n_blocks[path] - 1
+            # one block exactly when the segment fits in one
+            assert (n_blocks[path] == 1) == (seg <= L)
+        if setup_name == "small":
+            assert n_blocks.max() == 8 and n_blocks.min() > 1
+        else:           # one block, its segment clipped by the window end
+            assert np.all(n_blocks == 1)
+            assert np.all(cache.lag_start + cache.segment > n)
+
+    @pytest.mark.parametrize("setup_name", ["small", "tiny"])
+    def test_blocks_match_whole_row_correlation(self, setup_name, request):
+        # the field against each path's whole segment correlated in one
+        # FFT of the longest segment's fast length: to 1e-12 of the field's
+        # largest value, and byte for byte where every path has one block
+        # of that length (tiny)
+        setup = request.getfixturevalue(setup_name)
+        cache = setup.cache
+        scene = setup.scene([(setup.grid.cell_center(c).x,
+                              setup.grid.cell_center(c).y)
+                             for c in (0, setup.grid.n_cells // 2)])
+        obs = noisy_observations(setup, scene, np.random.default_rng(3))
+        blocked = objective_field(pack(obs, cache), cache).per_path_ll
+        nfft = scipy.fft.next_fast_len(int(cache.segment.max()))
+        rows = np.zeros((len(obs), nfft), dtype=complex)
+        for o, (row, window), out in zip(obs, cache.segment_slices, rows):
+            out[row] = o.r[window]
+        pulses = setup.waveforms.samples[:, :setup.waveforms.pulse_samples]
+        spec = scipy.fft.fft(rows, axis=1)
+        spec *= np.conj(scipy.fft.fft(pulses, nfft, axis=1))[cache.path_tx]
+        corr = scipy.fft.ifft(spec, axis=1)
+        whole = np.empty_like(blocked)
+        cross = np.empty(blocked.shape, dtype=complex)
+        for p in range(len(obs)):
+            _kernels.path_objective(corr[p], cache.gather_base[p],
+                                    cache.taps[p], cache.energy[p], cross[p],
+                                    whole[p])
+        assert np.abs(blocked - whole).max() <= 1e-12 * whole.max()
+        one_block = cache.path_blocks[-1] == len(obs)
+        assert one_block == (setup_name == "tiny")
+        if one_block:
+            assert blocked.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("setup_name", ["small", "tiny"])
     def test_extreme_bases_match_direct_route(self, setup_name, request):
