@@ -151,8 +151,8 @@ def trial_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
     """Segment matrix (cache.blocks_of) of one trial of a scene on the
     cache's layout, whitened against the cache's noise model, path p's
     noise drawn from stream (seed, tag, trial, p).  Each path's segment
-    (cache.segment_slices) is filled, then copied into the path's
-    overlap-save blocks; a path with one block is filled in place.  White
+    (cache.segment_slices) is filled in a zeroed buffer of block_span[p]
+    samples, then copied into the path's overlap-save blocks.  White
     noise: whitened noise is i.i.d. CN(0, 1), drawn straight into the
     segment; then each target's echo (signal.path_echoes, the spans
     synthesize_observation adds) over sigma_p is added where it overlaps
@@ -167,9 +167,7 @@ def trial_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
 
     def fill(p):
         (row, window), shift = cache.segment_slices[p], cache.lag_start[p]
-        blocks = segments[cache.path_blocks[p]: cache.path_blocks[p + 1]]
-        segment = (blocks[0] if len(blocks) == 1 else
-                   np.zeros(cache.block_span[p], dtype=complex))
+        segment = np.zeros(cache.block_span[p], dtype=complex)
         rng = substream(seed, tag, trial, p)
         if not noise.is_white:
             segment[row] = whiten(synthesize_observation(
@@ -185,8 +183,8 @@ def trial_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
                 if a < b:
                     segment[a - shift: b - shift] += (
                         echo[a - start: b - start] / sigma)
-        if len(blocks) > 1:
-            blocks[:] = cache.blocks_of(p, segment)
+        segments[cache.path_blocks[p]: cache.path_blocks[p + 1]] = (
+            cache.blocks_of(p, segment))
     map_paths(fill, len(cache.segment), waveforms.n_samples)
     return segments
 
