@@ -291,16 +291,21 @@ class ReplicaCache:
         segment, a buffer of block_span[p] samples (the path's segment,
         zero past it), whose block k is segment[k * block_step: k *
         block_step + nfft]; rows path_blocks[p] .. path_blocks[p + 1] - 1
-        of the segment matrix hold them.  With one block it is the buffer."""
-        if segment.shape != (self.block_span[path],):
-            raise ValueError(f"path {path} needs a segment buffer of "
-                             f"{self.block_span[path]} samples, got shape "
-                             f"{segment.shape}")
+        of the segment matrix hold them.  With one block it is the buffer.
+        segment must be C-contiguous."""
+        if (segment.shape != (self.block_span[path],)
+                or segment.dtype != complex):
+            raise ValueError(f"path {path} needs a complex segment buffer "
+                             f"of {self.block_span[path]} samples, got "
+                             f"shape {segment.shape} of {segment.dtype}")
         n = self.path_blocks[path + 1] - self.path_blocks[path]
-        step = segment.strides[0]
-        return np.lib.stride_tricks.as_strided(
-            segment, (n, self.nfft), (self.block_step * step, step),
-            writeable=False)
+        # the ndarray constructor takes ~1 us, as_strided ~10 us: a path of
+        # a small scene pays it on every trial
+        blocks = np.ndarray((n, self.nfft), complex, segment, 0,
+                            (self.block_step * segment.itemsize,
+                             segment.itemsize))
+        blocks.flags.writeable = False
+        return blocks
 
     def correlate_all(self, obs_matrix: np.ndarray) -> np.ndarray:
         """Cross-correlation of each path's observation with its pulse at

@@ -221,6 +221,15 @@ class TestObjectiveField:
                for p in range(n_paths)]
         with pytest.raises(ValueError, match="segment matrix"):
             objective_field(obs, cache)
+        # blocks_of takes only a complex buffer of block_span samples: its
+        # view reads the buffer's bytes as complex
+        span = cache.block_span[0]
+        for buffer in [np.zeros(span - 1, dtype=complex),
+                       np.zeros(span + 1, dtype=complex),
+                       np.zeros((1, span), dtype=complex),
+                       np.zeros(span), np.zeros(2 * span)]:
+            with pytest.raises(ValueError, match="segment buffer"):
+                cache.blocks_of(0, buffer)
 
     def test_footprint_matches_geometry_route(self, small):
         # the field's cached-bin footprint equals the geometry module's
