@@ -6,8 +6,9 @@ every cell sharing a range bin with it from the candidate set.  SIC
 subtracts the declared target's per-path log-likelihood contribution
 from the objective, rescaling the threshold by the number of paths
 still alive at each cell.  The joint search maximizes the concentrated
-joint likelihood exhaustively: the field argmax for one target, else one
-batched LDL^H solve per path over the gap-ok cell tuples.  Its cost grows
+joint likelihood exhaustively: the field argmax for one target, else, per
+path, one row-oriented LDL^H over the prefix tree of the gap-ok cell
+tuples, which factors each shared prefix once.  Its cost grows
 exponentially with the target count, so it has a tuple budget.
 """
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .streams import TAG_CALIBRATION, substream
 
 # most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
 JOINT_MAX_TUPLES = math.comb(2500, 2)
-# tuples per scored block: joint_path_statistic makes a few dozen
-# block-length temporaries, and at 4096 tuples (64 kB per complex one) they
-# stay in cache; every tuple's value is elementwise, so the block size
-# changes no bits
+# last-level tree nodes per scored block: their LDL^H row (_ldl_row) makes
+# a few dozen block-length temporaries, and at 4096 nodes (64 kB per complex
+# one) they stay in cache; every node's value is elementwise, so the block
+# size changes no bits
 JOINT_CHUNK = 4096
 
 
@@ -301,16 +302,19 @@ def joint_search(segments: np.ndarray, cache: ReplicaCache, n_targets: int,
     trial's segment matrix (trial_segments), which objective_field
     overwrites.
 
-    Only the tuples of gap_ok_tuples are scored, path by path: one path's
-    Gram at a time, its tuples in blocks of JOINT_CHUNK whose temporaries
-    stay cache-resident, each block's values added to the running totals
-    elementwise (the bits do not depend on the block size).  For
-    G = n_targets >= 2, a search whose enumeration may hold more than
-    JOINT_MAX_TUPLES tuples at some stage (up to
-    C(n_cells, min(G, n_cells // 2))) is refused before any work.  The
-    tuple is declared only when the summed statistic reaches the
-    threshold.  White noise only: the Gram's off-diagonal inner products
-    are not weighted by R^-1, so a cache built with clutter is refused.
+    Only the tuples of the gap-ok prefix tree (gap_ok_tree) are scored.
+    The cache keeps one tree per G in cache.joint_trees, built by the
+    first search that needs it.  Scoring runs path by path, one path's
+    Gram at a time: joint_path_values factors each shared prefix of the
+    tree once and adds every leaf's value to the running totals (the bits
+    do not depend on the sharing or on JOINT_CHUNK).  For G = n_targets
+    >= 2, a search whose enumeration may hold more than JOINT_MAX_TUPLES
+    tuples at some level (up to C(n_cells, min(G, n_cells // 2))) is
+    refused before any work.  The tuple is declared only when the summed
+    statistic reaches the threshold; its alphas come from
+    joint_path_alphas.  White noise only: the Gram's off-diagonal inner
+    products are not weighted by R^-1, so a cache built with clutter is
+    refused.
     """
     if n_targets < 1:
         raise ValueError(f"n_targets must be >= 1, got {n_targets}")
@@ -331,19 +335,21 @@ def joint_search(segments: np.ndarray, cache: ReplicaCache, n_targets: int,
         cell = fld.argmax_cell()
         best, total = (cell,), float(fld.combined[cell])
     else:
-        tuples = gap_ok_tuples(cache, n_targets)
-        if len(tuples) == 0:
+        tree = cache.joint_trees.get(n_targets)
+        if tree is None:
+            tree = cache.joint_trees[n_targets] = gap_ok_tree(cache,
+                                                              n_targets)
+        n_leaves = len(tree[-1][1])
+        if n_leaves == 0:
             return report
-        # path-outer, block-inner: one path's Gram at a time
-        totals = np.zeros(len(tuples))
+        totals = np.zeros(n_leaves)
         for p in range(fld.n_paths):
-            gram = cache.gram(p, np.arange(n_cells))
-            for lo in range(0, len(tuples), JOINT_CHUNK):
-                totals[lo: lo + JOINT_CHUNK] += joint_path_statistic(
-                    gram, fld.cross[p], tuples[lo: lo + JOINT_CHUNK])[0]
-            del gram        # freed before the next path's Gram is built
+            # each path's Gram is freed before the next one is built
+            joint_path_values(cache.gram(p, np.arange(n_cells)),
+                              fld.cross[p], tree, totals)
         i = int(np.argmax(totals))
-        best, total = tuple(int(c) for c in tuples[i]), float(totals[i])
+        best = tuple(_tuples_of(tree, [i])[0].tolist())
+        total = float(totals[i])
     if total < threshold:
         return report
 
@@ -352,11 +358,9 @@ def joint_search(segments: np.ndarray, cache: ReplicaCache, n_targets: int,
     if n_targets == 1:
         alphas = fld.alphas_at(cells[0])[:, None]
     else:
-        order = np.arange(n_targets)[None, :]
-        alphas = np.stack([
-            joint_path_statistic(cache.gram(p, cells),
-                                 fld.cross[p, cells], order, alphas=True)[1][0]
-            for p in range(fld.n_paths)])
+        alphas = np.stack([joint_path_alphas(cache.gram(p, cells),
+                                             fld.cross[p, cells])
+                           for p in range(fld.n_paths)])
     for i, cell in enumerate(cells.tolist(), start=1):
         report.detections.append(Detection(
             iteration=i, cell=cell, location=fld.grid.cell_center(cell),
@@ -365,59 +369,120 @@ def joint_search(segments: np.ndarray, cache: ReplicaCache, n_targets: int,
     return report
 
 
-def gap_ok_tuples(cache: ReplicaCache, n_targets: int) -> np.ndarray:
-    """The cell tuples the joint search scores, shape (T, n_targets), in
-    lexicographic order: cells in the window on every path whose delays
-    lie SINGULARITY_TOL_SAMPLES or more apart on every path (closer pairs'
-    reflection coefficients are unidentifiable)."""
+def gap_ok_tree(cache: ReplicaCache, n_targets: int) -> tuple:
+    """The cell tuples the joint search scores, as a prefix tree: one
+    (parent, cell) pair of read-only int32 arrays per tuple member.  Level
+    0 holds the usable cells (in the window on every path), every parent
+    0 (one root).  A node of level k + 1 extends its parent's tuple at
+    level k by one larger cell whose delays lie SINGULARITY_TOL_SAMPLES or
+    more from each member's on every path (closer pairs' reflection
+    coefficients are unidentifiable).  Nodes follow their parents, each
+    parent's in cell order, so the last level holds the tuples in
+    lexicographic order (gap_ok_tuples)."""
     usable = ~cache.out_of_window.any(axis=0)
     tol = SINGULARITY_TOL_SAMPLES * cache.waveforms.Ts
     # ok[a, b]: a < b may share a tuple
     ok = np.triu(usable[:, None] & usable[None, :], k=1)
     for d in cache.delays:
         ok &= np.abs(d[None, :] - d[:, None]) >= tol
-    tuples = np.flatnonzero(usable)[:, None]
-    for _ in range(n_targets - 1):
-        # cells that may join every member: one (T, C) mask, member by member
-        fits = ok[tuples[:, 0]]
-        for member in tuples.T[1:]:
-            fits &= ok[member]
-        rows, cells = np.nonzero(fits)
-        tuples = np.column_stack([tuples[rows], cells])
-    return tuples
+    cells = np.flatnonzero(usable)
+    levels = [(np.zeros(len(cells), dtype=np.int32), cells)]
+    fits = ok[cells]          # fits[i, c]: cell c may join node i's tuple
+    for k in range(1, n_targets):
+        parent, cells = np.nonzero(fits)
+        levels.append((parent, cells))
+        if k + 1 < n_targets:
+            fits = fits[parent] & ok[cells]
+    tree = tuple(tuple(a.astype(np.int32) for a in level) for level in levels)
+    for level in tree:
+        for a in level:
+            a.flags.writeable = False
+    return tree
 
 
-def joint_path_statistic(gram: np.ndarray, cross: np.ndarray,
-                         tuples: np.ndarray, alphas: bool = False):
-    """One path's joint concentrated log-likelihood 0.5 x^H A^-1 x for each
-    cell tuple t (rows of tuples), A = gram[t][:, t], x = cross[t] (the
-    products s~^H r).  An unpivoted LDL^H factorization A = L D L^H runs
-    vectorized over the tuples: with L y = x, the value is
-    0.5 sum_j |y_j|^2 / D_j, elementwise per tuple, so joint_search can
-    pass any block of tuples.  Reads only the diagonal and gram[t_i, t_j],
-    i > j, each as one flat take from gram.ravel() (a copy when gram is not
-    C-contiguous), and x as a take from cross.  Returns (values, None), or
-    with alphas=True (values, A^-1 x), the joint reflection-coefficient
-    MLEs by back substitution.
-    """
-    t = np.ascontiguousarray(tuples.T)
-    g_n, n = len(t), gram.shape[1]
-    flat = gram.ravel()
-    low, d, y = {}, [], []        # L[i, j] (i > j), D, y
-    values = np.zeros(t.shape[1])
-    for j in range(g_n):
-        w = [np.conj(low[j, k]) * d[k] for k in range(j)]   # conj(L_jk) D_k
-        d.append(flat.take(t[j] * (n + 1)).real
-                 - sum((low[j, k] * w[k]).real for k in range(j)))
-        y.append(cross.take(t[j]) - sum(low[j, k] * y[k] for k in range(j)))
-        for i in range(j + 1, g_n):
-            low[i, j] = (flat.take(t[i] * n + t[j])
-                         - sum(low[i, k] * w[k] for k in range(j))) / d[j]
-        values += 0.5 * (y[j].real ** 2 + y[j].imag ** 2) / d[j]
-    if not alphas:
-        return values, None
-    a = [None] * g_n
-    for j in reversed(range(g_n)):
-        a[j] = y[j] / d[j] - sum(np.conj(low[k, j]) * a[k]
-                                 for k in range(j + 1, g_n))
-    return values, np.stack(a, axis=-1)
+def gap_ok_tuples(cache: ReplicaCache, n_targets: int) -> np.ndarray:
+    """The leaves of gap_ok_tree as cell tuples, shape (T, n_targets), in
+    lexicographic order."""
+    tree = gap_ok_tree(cache, n_targets)
+    return _tuples_of(tree, np.arange(len(tree[-1][1])))
+
+
+def _tuples_of(tree: tuple, leaves) -> np.ndarray:
+    """The cell tuples of the given last-level nodes of a tree, one row
+    each."""
+    members = []
+    for parent, cell in reversed(tree):
+        members.append(cell[leaves])
+        leaves = parent[leaves]
+    return np.stack(members[::-1], axis=1)
+
+
+# the LDL^H state above level 0: no rows yet, running value 0
+_ROOT = ([], [], [], [], np.zeros(1))
+
+
+def _ldl_row(flat: np.ndarray, n: int, cross: np.ndarray, state: tuple,
+             parent: np.ndarray, cells: np.ndarray):
+    """One row of an unpivoted, row-oriented ("up-looking") LDL^H
+    factorization A = L D L^H with L y = x, for each node of a tree level:
+    node i's tuple is node parent[i]'s extended by cells[i], A[a, b] =
+    flat[a * n + b] and x = cross.  state holds each parent's rows j
+    (cells t_j, D_j, y_j, w_j[m] = conj(L_jm) D_m for m < j, and the
+    running value 0.5 sum_j |y_j|^2 / D_j), read here by take.  Returns
+    the nodes' state, rows j included, and their row of L.  Each entry is
+    the expression a column-by-column LDL^H computes, summed in the same
+    order from Python sum's leading 0, so its bits do not depend on which
+    tuples share the rows above."""
+    t, d, y, w, value = state
+    t, d, y = ([a.take(parent) for a in rows] for rows in (t, d, y))
+    w = [[a.take(parent) for a in row] for row in w]
+    i = len(t)
+    low = []                                              # L[i, j], j < i
+    for j in range(i):
+        low.append((flat.take(cells * n + t[j])
+                    - sum(low[k] * w[j][k] for k in range(j))) / d[j])
+    w_i = [np.conj(low[k]) * d[k] for k in range(i)]
+    d_i = (flat.take(cells * (n + 1)).real
+           - sum((low[k] * w_i[k]).real for k in range(i)))
+    y_i = cross.take(cells) - sum(low[k] * y[k] for k in range(i))
+    value = value.take(parent) + 0.5 * (y_i.real ** 2
+                                        + y_i.imag ** 2) / d_i
+    return (t + [cells], d + [d_i], y + [y_i], w + [w_i], value), low
+
+
+def joint_path_values(gram: np.ndarray, cross: np.ndarray, tree: tuple,
+                      totals: np.ndarray) -> None:
+    """Add one path's joint concentrated log-likelihood 0.5 x^H A^-1 x of
+    each leaf tuple t of tree (gap_ok_tree) to totals, A = gram[t][:, t],
+    x = cross[t] (the products s~^H r).  _ldl_row runs every level but
+    the last whole, so each shared prefix is factored once, and the last
+    in blocks of JOINT_CHUNK nodes whose temporaries stay cache-resident.
+    Reads gram by flat take from gram.ravel() (a copy when gram is not
+    C-contiguous)."""
+    flat, n = gram.ravel(), gram.shape[1]
+    state = _ROOT
+    for parent, cells in tree[:-1]:
+        state = _ldl_row(flat, n, cross, state, parent, cells)[0]
+    parent, cells = tree[-1]
+    for lo in range(0, len(cells), JOINT_CHUNK):
+        block = slice(lo, lo + JOINT_CHUNK)
+        totals[block] += _ldl_row(flat, n, cross, state, parent[block],
+                                  cells[block])[0][-1]
+
+
+def joint_path_alphas(gram: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """One path's joint reflection-coefficient MLEs A^-1 x of the tuple of
+    all of gram's cells, A = gram, x = cross: _ldl_row down the one-leaf
+    tree of that tuple, then back substitution L^H a = D^-1 y."""
+    flat, n = gram.ravel(), gram.shape[1]
+    state, low, root = _ROOT, [], np.zeros(1, dtype=np.int32)
+    for j in range(n):
+        state, row = _ldl_row(flat, n, cross, state, root,
+                              np.array([j], dtype=np.int32))
+        low.append(row)
+    _, d, y, _, _ = state
+    a = [None] * n
+    for j in reversed(range(n)):
+        a[j] = y[j] / d[j] - sum(np.conj(low[k][j]) * a[k]
+                                 for k in range(j + 1, n))
+    return np.concatenate(a)

@@ -156,6 +156,10 @@ class ReplicaCache:
     (energy, and gram, the joint search's per-path Gram matrices).
     pulse_fft_conj[k] is the conjugate L-point spectrum of pulse k, shared
     by the blocks of the n_rx paths that transmit it.
+
+    One member is built on first use, not here: joint_trees maps G to the
+    joint search's gap-ok prefix tree (estimators.gap_ok_tree), filled by
+    the first G-target joint_search on the cache and then reused.
     """
 
     def __init__(self, waveforms: WaveformSet, layout: AntennaLayout,
@@ -225,6 +229,7 @@ class ReplicaCache:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        self.joint_trees = {}
 
     def _energies(self, n0):
         # each cell paired with itself: sum_t sum_u h_t h_u ac(t - u), exact
@@ -234,7 +239,7 @@ class ReplicaCache:
         ac = np.pad(self.autocorr, ((0, 0), (n, n)))      # ac(d) = 0, |d| >= p
         toeplitz = ac[:, n + p - 1 + t[:, None] - t]      # [k, t, u]
         energy = np.einsum("...t,...u,...tu->...", self.taps, self.taps,
-                           toeplitz[self.path_tx, None]).real
+                           toeplitz[self.path_tx, None]).real.copy()
         # cells whose kernel support clips the window edge: sum their span
         wf = self.waveforms
         interior_lo = -int(self.tap_offsets[0])

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from mimoloc import estimators
 from mimoloc.errors import NoiseCovarianceError
 from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 ThresholdConfig, calibrate_threshold,
-                                gap_ok_tuples, h0_objective_peaks,
-                                joint_path_statistic, joint_search,
+                                gap_ok_tree, gap_ok_tuples,
+                                h0_objective_peaks, joint_path_alphas,
+                                joint_path_values, joint_search,
                                 peak_quantile, sic_modified_term, sic_run,
                                 sic_threshold, ssr_run, trial_segments)
 from mimoloc.geometry import Grid, Rect
+from mimoloc.harness import RunContext, load_scenario
 from mimoloc.likelihood import ObjectiveField, ReplicaCache, objective_field
 from mimoloc.reference import (alpha_mle_joint, gram_matrix,
                                joint_path_loglik, steering_vector)
@@ -672,7 +675,7 @@ class TestJointSearch:
         def never(*args, **kwargs):
             raise AssertionError("joint search started work over budget")
         monkeypatch.setattr(estimators, "objective_field", never)
-        monkeypatch.setattr(estimators, "gap_ok_tuples", never)
+        monkeypatch.setattr(estimators, "gap_ok_tree", never)
         for cache, n_targets in [(fine, 3), (coarse.cache, n - 2),
                                  (coarse.cache, n + 1)]:
             with pytest.raises(ValueError, match="budget"):
@@ -784,6 +787,56 @@ class TestJointSearch:
                                       combos[keep])
 
 
+def flat_path_statistic(gram, cross, tuples, alphas=False):
+    """Oracle: one path's joint statistic 0.5 x^H A^-1 x for each row t of
+    tuples on its own, A = gram[t][:, t], x = cross[t], by an unpivoted
+    column-by-column LDL^H run vectorized over the tuples (the joint
+    search's scoring before its prefix tree); with alphas=True also A^-1 x
+    by back substitution."""
+    t = np.ascontiguousarray(tuples.T)
+    g_n, n = len(t), gram.shape[1]
+    flat = gram.ravel()
+    low, d, y = {}, [], []        # L[i, j] (i > j), D, y
+    values = np.zeros(t.shape[1])
+    for j in range(g_n):
+        w = [np.conj(low[j, k]) * d[k] for k in range(j)]   # conj(L_jk) D_k
+        d.append(flat.take(t[j] * (n + 1)).real
+                 - sum((low[j, k] * w[k]).real for k in range(j)))
+        y.append(cross.take(t[j]) - sum(low[j, k] * y[k] for k in range(j)))
+        for i in range(j + 1, g_n):
+            low[i, j] = (flat.take(t[i] * n + t[j])
+                         - sum(low[i, k] * w[k] for k in range(j))) / d[j]
+        values += 0.5 * (y[j].real ** 2 + y[j].imag ** 2) / d[j]
+    if not alphas:
+        return values, None
+    a = [None] * g_n
+    for j in reversed(range(g_n)):
+        a[j] = y[j] / d[j] - sum(np.conj(low[k, j]) * a[k]
+                                 for k in range(j + 1, g_n))
+    return values, np.stack(a, axis=-1)
+
+
+def chain_tree(tuples):
+    """A prefix tree whose leaves are the rows of tuples, sharing no
+    prefix: level j holds each row's first j + 1 cells."""
+    rows = np.arange(len(tuples), dtype=np.int32)
+    return tuple((rows if j else np.zeros_like(rows),
+                  tuples[:, j].astype(np.int32))
+                 for j in range(tuples.shape[1]))
+
+
+def joint_coarse_cache(coarse):
+    """The perfbench joint_coarse scene's cache: the coarse layout and
+    waveforms on a 9 x 9 km region of 1 km cells (81 cells, 16 paths)."""
+    return ReplicaCache(coarse.waveforms, coarse.layout,
+                        Grid(Rect(0.0, 9000.0, 0.0, 9000.0), 1000.0))
+
+
+def bits(a):
+    """The raw bits of a float or complex array, as int64."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestJointPathStatistic:
     @pytest.mark.parametrize("n_targets", [1, 2, 3, 4])
     def test_matches_gram_oracle(self, coarse, n_targets):
@@ -806,11 +859,11 @@ class TestJointPathStatistic:
         tuples = np.array(tuples)
         cells = np.arange(coarse.grid.n_cells)
         for p in range(coarse.layout.n_paths):
-            gram = cache.gram(p, cells)
-            values, alphas = joint_path_statistic(gram, fld.cross[p], tuples,
-                                                  alphas=True)
-            assert joint_path_statistic(gram, fld.cross[p], tuples)[1] is None
-            for t, value, alpha in zip(tuples, values, alphas):
+            values = np.zeros(len(tuples))
+            joint_path_values(cache.gram(p, cells), fld.cross[p],
+                              chain_tree(tuples), values)
+            for t, value in zip(tuples, values):
+                alpha = joint_path_alphas(cache.gram(p, t), fld.cross[p, t])
                 thetas = [coarse.grid.cell_center(c) for c in t]
                 reps = np.stack([steering_vector(coarse.waveforms, p, th,
                                                  coarse.layout)
@@ -830,16 +883,133 @@ class TestJointPathStatistic:
         obs = scene_observations(coarse, scene, snr_db=10.0, seed=82)
         fld = objective_field(pack(obs, coarse.cache), coarse.cache)
         cells = np.arange(coarse.grid.n_cells)
-        tuples = gap_ok_tuples(coarse.cache, 3)[::97]
+        tree = gap_ok_tree(coarse.cache, 3)
+        declared = gap_ok_tuples(coarse.cache, 3)[::9973]
         for p in range(coarse.layout.n_paths):
             gram = np.asfortranarray(coarse.cache.gram(p, cells))
             assert not gram.flags.c_contiguous
-            got = joint_path_statistic(gram, fld.cross[p], tuples,
-                                       alphas=True)
-            want = joint_path_statistic(np.ascontiguousarray(gram),
-                                        fld.cross[p], tuples, alphas=True)
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+            got, want = np.zeros((2, len(tree[-1][1])))
+            joint_path_values(gram, fld.cross[p], tree, got)
+            joint_path_values(np.ascontiguousarray(gram), fld.cross[p], tree,
+                              want)
+            np.testing.assert_array_equal(got, want)
+            for t in declared:
+                small = np.asfortranarray(coarse.cache.gram(p, t))
+                assert not small.flags.c_contiguous
+                np.testing.assert_array_equal(
+                    joint_path_alphas(small, fld.cross[p, t]),
+                    joint_path_alphas(np.ascontiguousarray(small),
+                                      fld.cross[p, t]))
+
+    @pytest.mark.parametrize("n_targets", [2, 3])
+    def test_tree_totals_match_flat_oracle_bits(self, coarse, n_targets):
+        # every gap-ok tuple's total over the 16 paths, and the alphas of
+        # a few tuples, keep the bits of the tuple-by-tuple LDL^H: the tree
+        # shares each prefix's rows but computes every entry alike
+        scene = coarse.scene([(2250.0, 2750.0), (8500.0, 4500.0)])
+        obs = scene_observations(coarse, scene, snr_db=0.0, seed=83)
+        fld = objective_field(pack(obs, coarse.cache), coarse.cache)
+        tree = gap_ok_tree(coarse.cache, n_targets)
+        tuples = gap_ok_tuples(coarse.cache, n_targets)
+        cells = np.arange(coarse.grid.n_cells)
+        got, want = np.zeros((2, len(tuples)))
+        for p in range(coarse.layout.n_paths):
+            gram = coarse.cache.gram(p, cells)
+            joint_path_values(gram, fld.cross[p], tree, got)
+            for lo in range(0, len(tuples), 4096):
+                want[lo: lo + 4096] += flat_path_statistic(
+                    gram, fld.cross[p], tuples[lo: lo + 4096])[0]
+            for t in tuples[::len(tuples) // 5]:
+                small = coarse.cache.gram(p, t)
+                order = np.arange(n_targets)[None, :]
+                assert np.array_equal(
+                    bits(joint_path_alphas(small, fld.cross[p, t])),
+                    bits(flat_path_statistic(small, fld.cross[p, t], order,
+                                             alphas=True)[1][0]))
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_four_targets_match_flat_oracle_bits(self, coarse):
+        # G = 4 on the joint_coarse cache (693 292 tuples), two paths
+        cache = joint_coarse_cache(coarse)
+        rng = np.random.default_rng(84)
+        segments = np.zeros((cache.path_blocks[-1], cache.nfft),
+                            dtype=complex)
+        rng.standard_normal(out=segments.view(float))
+        fld = objective_field(segments, cache)
+        tree = gap_ok_tree(cache, 4)
+        tuples = gap_ok_tuples(cache, 4)
+        cells = np.arange(cache.grid.n_cells)
+        for p in (0, 11):
+            gram = cache.gram(p, cells)
+            got, want = np.zeros((2, len(tuples)))
+            joint_path_values(gram, fld.cross[p], tree, got)
+            for lo in range(0, len(tuples), 4096):
+                want[lo: lo + 4096] += flat_path_statistic(
+                    gram, fld.cross[p], tuples[lo: lo + 4096])[0]
+            assert np.array_equal(bits(got), bits(want))
+
+
+class TestGapOkTree:
+    def test_built_once_per_cache_and_g(self, coarse, tmp_path,
+                                        monkeypatch):
+        # the tree is built by the first joint search for each G on a
+        # cache, not by RunContext, and then reused; int32 and read-only
+        built = []
+
+        def counting(cache, n_targets):
+            built.append(n_targets)
+            return gap_ok_tree(cache, n_targets)
+        monkeypatch.setattr(estimators, "gap_ok_tree", counting)
+        cfg = {"name": "tree", "seed": 5,
+               "layout": {"transceivers_km": [[-1.0, -1.0], [13.0, -2.0],
+                                              [-2.0, 13.0], [14.0, 14.0]]},
+               "region_km": [0.0, 9.0, 0.0, 9.0], "grid_cell_m": 1000.0,
+               "targets": [{"x_km": 5.5, "y_km": 1.5, "proportion": 1.0}],
+               "waveforms": {"window_s": 1.4e-4, "samples": 1793,
+                             "pulse_width_s": 5e-6},
+               "noise": {"sigma_sq": 1.0}, "snr_db": [20], "pfa": 0.1,
+               "trials": 1, "calibration_trials": 100, "g_max": 3,
+               "algorithm": "joint", "single_target_benchmark": False,
+               "output_dir": str(tmp_path / "out")}
+        path = tmp_path / "tree.cfg"
+        path.write_text(json.dumps(cfg))
+        ctx = RunContext(load_scenario(str(path)))
+        cache = ctx.cache
+        assert built == [] and cache.joint_trees == {}
+
+        scene = coarse.scene([(5500.0, 1500.0), (1500.0, 2500.0)])
+        for n_targets in (2, 3, 2, 3):
+            segments = trial_segments(cache, scene, 5, TAG_SCENE, 0)
+            reports = [joint_search(segments.copy(), cache, n_targets, 0.0)
+                       for _ in range(2)]
+            assert reports[0].to_text() == reports[1].to_text()
+        assert built == [2, 3]
+        assert sorted(cache.joint_trees) == [2, 3]
+        for n_targets, tree in cache.joint_trees.items():
+            assert len(tree) == n_targets
+            for level in tree:
+                for a in level:
+                    assert a.dtype == np.int32 and not a.flags.writeable
+            np.testing.assert_array_equal(
+                estimators._tuples_of(tree, np.arange(len(tree[-1][1]))),
+                gap_ok_tuples(cache, n_targets))
+        assert cache.joint_trees[2][0][1] is not cache.joint_trees[3][0][1]
+
+    def test_empty_level_declares_nothing(self, coarse):
+        # a 2 x 2 grid has no tuple of 5 cells, so the tree for G = 5 ends
+        # in an empty level: the search returns an empty report, objective
+        # 0, and raises nothing
+        grid = Grid(Rect(4000.0, 6000.0, 4000.0, 6000.0), 1000.0)
+        cache = ReplicaCache(coarse.waveforms, coarse.layout, grid)
+        assert grid.n_cells == 4
+        tree = gap_ok_tree(cache, 5)
+        assert [len(cell) for _, cell in tree][-1] == 0
+        scene = coarse.scene([(4500.0, 4500.0)])
+        report = joint_search(trial_segments(cache, scene, 1, TAG_SCENE, 0),
+                              cache, 5, 0.0)
+        assert report.g_hat == 0
+        assert report.accumulated_objective == 0.0
+        assert gap_ok_tuples(cache, 5).shape == (0, 5)
 
 
 def coarse_scene(coarse, seed, n_targets):

@@ -137,6 +137,17 @@ class TestObjectiveField:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(small.cache, name)[0, 0] = 0
 
+    def test_energy_is_own_float_array(self, small, tiny):
+        # the energies are a C-contiguous float64 array of their own, not
+        # a strided real view pinning a complex array twice their size
+        clutter = ReplicaCache(tiny.waveforms, tiny.layout, tiny.grid,
+                               NoiseModel(sigma_sq=1.0, clutter=(0.6, 1.0)))
+        for cache in (small.cache, tiny.cache, clutter):
+            energy = cache.energy
+            assert energy.dtype == np.float64
+            assert energy.flags.c_contiguous
+            assert energy.base is None or energy.base.dtype == np.float64
+
     def test_noise_free_single_target_peaks_at_cell(self, small):
         cell = 5 * small.grid.nx + 7
         scene = small.scene([(small.grid.cell_center(cell).x,
