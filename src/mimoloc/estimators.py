@@ -21,8 +21,8 @@ import numpy as np
 from .geometry import AntennaLayout, Grid, Position2D, Scene
 from .likelihood import (SINGULARITY_TOL_SAMPLES, ObjectiveField,
                          ReplicaCache, map_paths, objective_field)
-from .signal import (NoiseModel, WaveformSet, path_echoes,
-                     synthesize_observation, white_sigma_sq, whiten)
+from .signal import (NoiseModel, WaveformSet, path_echoes, raw_observation,
+                     white_sigma_sq, whiten)
 from .streams import TAG_CALIBRATION, substream
 
 # most cell tuples the joint search accepts: all pairs of a 50 x 50 grid
@@ -142,43 +142,72 @@ def h0_objective_peaks(waveforms: WaveformSet, layout: AntennaLayout,
     empty = Scene(layout=layout, targets=(), region=grid.region)
     peaks = np.empty(trials)
     for t in range(trials):
-        segments = trial_segments(cache, empty, seed, tag, t)
-        peaks[t] = objective_field(segments, cache).combined.max()
+        # no name holds the draw or the matrix: each is freed once read
+        peaks[t] = objective_field(trial_segments(
+            cache, empty, trial_noise(cache, seed, tag, t), ()),
+            cache).combined.max()
     return peaks
 
 
-def trial_segments(cache: ReplicaCache, scene: Scene, seed: int, tag: int,
-                   trial: int) -> np.ndarray:
+def trial_noise(cache: ReplicaCache, seed: int, tag: int,
+                trial: int) -> tuple:
+    """One trial's noise draw on the cache's layout, one read-only array
+    per path, path p's from stream (seed, tag, trial, p): the only place
+    that opens a noise stream.  The streams are keyed by neither SNR nor
+    target subset, so every (SNR, target subset) of a trial index shares
+    the draw (trial_segments reads it and leaves it intact).  White
+    noise: whitened noise is i.i.d. CN(0, 1), so only the samples of the
+    path's segment that lie in the window are drawn, standard normal
+    pairs scaled by sqrt(1/2), into a zeroed segment buffer of
+    block_span[p] samples (cache.segment_slices[p] is the (buffer,
+    window) slice pair).  Clutter: the raw noise of the whole window,
+    white plus AR(1) clutter (NoiseModel.sample).  Paths run on worker
+    threads for large windows (map_paths); the bytes do not change."""
+    noise, n_samples = cache.noise, cache.waveforms.n_samples
+
+    def draw(p):
+        rng = substream(seed, tag, trial, p)
+        if noise.is_white:
+            out = np.zeros(cache.block_span[p], dtype=complex)
+            pairs = out[cache.segment_slices[p][0]].view(float)
+            rng.standard_normal(out=pairs)
+            pairs *= np.sqrt(0.5)
+        else:
+            out = noise.sample(n_samples, p, rng)
+        out.flags.writeable = False
+        return out
+    return tuple(map_paths(draw, len(cache.segment), n_samples))
+
+
+def trial_segments(cache: ReplicaCache, scene: Scene, draw: tuple,
+                   spans) -> np.ndarray:
     """Segment matrix (cache.blocks_of) of one trial of a scene on the
-    cache's layout, whitened against the cache's noise model, path p's
-    noise drawn from stream (seed, tag, trial, p).  Each path's segment
-    (cache.segment_slices) is filled in a zeroed buffer of block_span[p]
-    samples, then copied into the path's overlap-save blocks.  White
-    noise: whitened noise is i.i.d. CN(0, 1), drawn straight into the
-    segment; then each target's echo (signal.path_echoes, the spans
-    synthesize_observation adds) over sigma_p is added where it overlaps
-    the segment.  Clutter: the whole window is synthesized and whitened
-    (R^-1 r), and its segment copied in.  Samples outside a segment reach
-    no gather, so the field is that of the whitened full window on the
-    same samples.  Paths run on worker threads for large windows
-    (map_paths); the bytes do not change."""
+    cache's layout, whitened against the cache's noise model, from the
+    trial's noise draw (trial_noise), which it only reads.  spans[g] is
+    the scene's target g's unit-alpha echo spans (signal.echo_spans),
+    which path_echoes scales by the target's alphas.  White noise: each
+    path's drawn segment buffer is copied (read as it is when the scene
+    has no targets), each target's echo over sigma_p added where it
+    overlaps the segment, and the buffer copied into the path's
+    overlap-save blocks.  Clutter: the whole window, echoes plus the draw
+    (signal.raw_observation), is whitened (R^-1 r) and its segment copied
+    in.  Samples outside a segment reach no gather, so the field is that
+    of the whitened full window on the same samples.  Paths run on worker
+    threads for large windows (map_paths); the bytes do not change."""
     noise, waveforms = cache.noise, cache.waveforms
     segments = np.zeros((int(cache.path_blocks[-1]), cache.nfft),
                         dtype=complex)
 
     def fill(p):
         (row, window), shift = cache.segment_slices[p], cache.lag_start[p]
-        segment = np.zeros(cache.block_span[p], dtype=complex)
-        rng = substream(seed, tag, trial, p)
         if not noise.is_white:
-            segment[row] = whiten(synthesize_observation(
-                scene, waveforms, noise, p, rng), noise).r[window]
+            segment = np.zeros(cache.block_span[p], dtype=complex)
+            segment[row] = whiten(raw_observation(
+                scene, waveforms, p, draw[p], spans), noise).r[window]
         else:
             sigma = np.sqrt(white_sigma_sq(noise, p))   # whiten's refusal
-            draw = segment[row].view(float)
-            rng.standard_normal(out=draw)
-            draw *= np.sqrt(0.5)
-            for start, echo in path_echoes(scene, waveforms, p):
+            segment = draw[p].copy() if scene.targets else draw[p]
+            for start, echo in path_echoes(scene, waveforms, p, spans):
                 a, b = max(start, window.start), min(start + len(echo),
                                                      window.stop)
                 if a < b:

@@ -35,10 +35,12 @@ required unless marked optional, unknown keys rejected:
 SNR is the strongest target's per-path post-whitening matched-filter
 SNR; per-trial randomness is keyed by (seed, tag, trial, path/target),
 so trials are independent of execution order and of the SNR point
-(phases and noise pair across the sweep).
+(phases and noise pair across the sweep).  A sweep draws each trial
+index's noise once and runs every job and SNR point of it on that draw.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -49,12 +51,13 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import (DetectionReport, EstimatorConfig, ThresholdConfig,
                          calibrate_threshold, h0_objective_peaks,
-                         joint_search, sic_run, ssr_run, trial_segments)
+                         joint_search, sic_run, ssr_run, trial_noise,
+                         trial_segments)
 from .geometry import (AntennaLayout, Grid, Position2D, Rect, Scene,
                        TargetTruth, path_delay)
 from .likelihood import ReplicaCache, objective_field
-from .signal import (NoiseModel, build_waveform_set, reference_energies,
-                     scale_alphas_for_snr)
+from .signal import (NoiseModel, build_waveform_set, echo_spans,
+                     reference_energies, scale_alphas_for_snr)
 from .streams import TAG_HOLDOUT, TAG_NOISE, TAG_PHASE, substream
 
 VALID_RADIUS_M = 200.0
@@ -334,7 +337,9 @@ def load_scenario(path) -> ScenarioConfig:
 
 
 class RunContext:
-    """Everything reusable across the trials of one scenario."""
+    """Everything reusable across the trials of one scenario: the replica
+    cache, the truth scene, the reference energies of the SNR scaling and
+    each configured target's unit-alpha echo spans (echo_spans)."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -357,6 +362,14 @@ class RunContext:
             self.ref_energy = reference_energies(
                 self.waveforms, self.layout, self.noise,
                 cfg.target_positions[ref_g])
+
+    @functools.cached_property
+    def echo_spans(self) -> tuple:
+        """signal.echo_spans of each configured target, in config order: a
+        trial only scales them by its alphas.  Built by the first trial
+        that needs them, so set-up and calibration do no span work."""
+        return tuple(echo_spans(self.waveforms, self.layout, p)
+                     for p in self.cfg.target_positions)
 
     def calibrate(self, trials: int | None = None) -> ThresholdConfig:
         """lambda' from trials H0 trials (default: the config's
@@ -397,15 +410,19 @@ def associate(report: DetectionReport, truths) -> list[int | None]:
 
 
 def trial_observations(ctx: RunContext, snr_db: float, trial: int,
-                       target_indices=None):
+                       target_indices=None, draw=None):
     """Every path's whitened echo plus noise for one trial, as the filled
     (blocks, nfft) segment matrix of estimators.trial_segments that
     objective_field and joint_search take.
 
+    draw is the trial's noise (estimators.trial_noise with the config's
+    seed and TAG_NOISE), which every SNR point and target subset of the
+    trial shares; without it the same noise is drawn here.
     target_indices selects a subset of the configured targets (used by
     the single-target benchmark); phase streams stay keyed by the
     original target index and the reference strength stays the full
-    scene's strongest target, so subsetting changes nothing else.
+    scene's strongest target, so subsetting changes nothing else.  The
+    echoes are the context's echo spans scaled by the trial's alphas.
     """
     cfg = ctx.cfg
     if target_indices is None:
@@ -424,29 +441,33 @@ def trial_observations(ctx: RunContext, snr_db: float, trial: int,
             ref_position=cfg.target_positions[ref_g],
             ref_proportion=max(cfg.proportions),
             ref_energy=ctx.ref_energy)
-
-    return (trial_segments(ctx.cache, scene, cfg.seed, TAG_NOISE, trial),
-            target_indices)
+    if draw is None:
+        draw = trial_noise(ctx.cache, cfg.seed, TAG_NOISE, trial)
+    spans = [ctx.echo_spans[g] for g in target_indices]
+    return trial_segments(ctx.cache, scene, draw, spans), target_indices
 
 
 def run_trial(ctx: RunContext, snr_db: float, trial: int,
               thresholds: ThresholdConfig, algorithm: str | None = None,
-              target_indices=None):
-    """One deterministic Monte Carlo trial: draw the whitened
-    observations (trial_observations), evaluate the objective, run the
-    selected algorithm and associate detections with the truth.  An
+              target_indices=None, draw=None):
+    """One deterministic Monte Carlo trial: build the whitened
+    observations (trial_observations) from the trial's noise draw (drawn
+    here unless given; the same noise either way), evaluate the
+    objective, run the selected algorithm and associate detections with
+    the truth.  SSR and SIC run after the segment matrix is freed.  An
     unknown algorithm is refused before the trial is drawn."""
     cfg = ctx.cfg
     algorithm = algorithm or cfg.algorithm
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     segments, target_indices = trial_observations(
-        ctx, snr_db, trial, target_indices)
+        ctx, snr_db, trial, target_indices, draw)
     if algorithm == "joint":
         report = joint_search(segments, ctx.cache, len(target_indices),
                               thresholds.lambda_prime)
     else:
         fld = objective_field(segments, ctx.cache)
+        del segments          # the field holds all that SSR and SIC read
         run = ssr_run if algorithm == "ssr" else sic_run
         report = run(fld, thresholds, EstimatorConfig(g_max=cfg.g_max))
 
@@ -559,11 +580,19 @@ def run_sweep(cfg: ScenarioConfig, algorithm: str | None = None,
               trials: int | None = None, snr_list=None,
               ctx: RunContext | None = None) -> list[MetricsRecord]:
     """Full Monte Carlo experiment: calibrate (unless given thresholds),
-    run every (snr, trial), aggregate Pd/RMSE per target, write CSVs.
+    run every (trial, job, snr), aggregate Pd/RMSE per target, write
+    CSVs.  The jobs are the full scene, then each target alone when the
+    single-target benchmark is on.
 
-    Per-trial rows are appended (and flushed) to trial_records.csv as
-    they complete, and existing rows are reused on restart, so an
-    interrupted sweep resumes at the first missing trial index.
+    The loop is trial-major: each trial index's noise is drawn once
+    (trial_noise) and shared by all its jobs and SNR points, which is the
+    noise each run_trial would draw on its own.  Per-trial rows are
+    appended (and flushed) to trial_records.csv as they complete, in
+    (trial, job, snr) order, and existing rows are reused on restart: an
+    interrupted sweep runs each (trial, job, snr) whose rows are missing,
+    each single-target job told apart by its target, and a trial index
+    with nothing left to run is not drawn.  So a resumed sweep writes the
+    bytes of a fresh one.
     """
     algorithm = algorithm or cfg.algorithm
     out_dir = out_dir or cfg.output_dir
@@ -578,30 +607,35 @@ def run_sweep(cfg: ScenarioConfig, algorithm: str | None = None,
     trial_path = os.path.join(out_dir, "trial_records.csv")
     existing = _load_trial_rows(trial_path, {algorithm: cfg.n_targets,
                                              f"{algorithm}-single": 1})
-    done = {(r["algorithm"], r["snr_db"], r["trial"]) for r in existing}
+    # a job's run of (snr, trial) is done when all its targets' rows are
+    done = {(r["algorithm"], r["snr_db"], r["trial"], r["target"])
+            for r in existing}
     rows = list(existing)
 
-    jobs = [(algorithm, None)]
+    # (name, target indices for run_trial, 1-based targets of its rows)
+    jobs = [(algorithm, None, range(1, cfg.n_targets + 1))]
     if cfg.single_target_benchmark and algorithm != "joint":
-        jobs += [(f"{algorithm}-single", [g]) for g in range(cfg.n_targets)]
+        jobs += [(f"{algorithm}-single", [g], [g + 1])
+                 for g in range(cfg.n_targets)]
 
-    for name, indices in jobs:
-        for snr in snr_list:
-            for t in range(trials):
-                if (name, snr, t) in done:
-                    continue
-                report, assignment, idx = run_trial(
-                    ctx, snr, t, thresholds, algorithm=name.split("-")[0],
-                    target_indices=indices)
-                new_rows = _trial_rows(cfg, name, snr, t, report,
-                                       assignment, idx)
-                _append_trial_rows(trial_path, new_rows)
-                rows.extend(new_rows)
+    for t in range(trials):
+        todo = [(name, indices, snr) for name, indices, targets in jobs
+                for snr in snr_list
+                if any((name, snr, t, g) not in done for g in targets)]
+        if not todo:
+            continue
+        draw = trial_noise(ctx.cache, cfg.seed, TAG_NOISE, t)
+        for name, indices, snr in todo:
+            report, assignment, idx = run_trial(
+                ctx, snr, t, thresholds, algorithm=name.split("-")[0],
+                target_indices=indices, draw=draw)
+            new_rows = _trial_rows(cfg, name, snr, t, report, assignment,
+                                   idx)
+            _append_trial_rows(trial_path, new_rows)
+            rows.extend(new_rows)
 
     records = []
-    for name, indices in jobs:
-        targets = ([g + 1 for g in indices] if indices is not None
-                   else list(range(1, cfg.n_targets + 1)))
+    for name, _, targets in jobs:
         for snr in snr_list:
             records.extend(aggregate(rows, name, snr, targets, trials))
     export_csv(records, os.path.join(out_dir, "metrics.csv"))

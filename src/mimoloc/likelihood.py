@@ -27,14 +27,17 @@ it to the per-point oracles of mimoloc.reference.
 The correlation covers only the lags a path's gathers reach: each path's
 segment of the observation (gather span plus pulse) is cut into
 overlap-save blocks of nfft samples, rows of the matrix every trial
-fills (estimators.trial_segments: white trials draw noise and echoes
-into the segment, clutter trials copy in the segment of the synthesized
-and whitened window; either is then copied into its blocks), all
-transformed in place in one batched FFT; the cache's gather indices
-read the result.  On windows of at least THREAD_MIN_SAMPLES samples the
-per-path work of a trial (the segment fill, the gather) runs as one
-block of paths per worker thread (map_paths); numpy and scipy release
-the GIL in the draws and the sparse gather, and every path's result
+fills, all transformed in place in one batched FFT; the cache's gather
+indices read the result.  A trial's noise is drawn once
+(estimators.trial_noise) and every SNR point and target subset of that
+trial builds its matrix from the one draw (estimators.trial_segments):
+white trials add the whitened echoes to a copy of each path's drawn
+segment and copy that into its blocks (blocks_of); clutter trials add
+the echoes to the drawn window, whiten it and copy its segment in.  On
+windows of at least THREAD_MIN_SAMPLES samples the per-path work of a
+trial (the draw, the segment fill, the gather) runs as one block of
+paths per worker thread (map_paths); numpy and scipy release the GIL in
+the draws, the copies and the sparse gather, and every path's result
 depends on that path alone, so the bytes do not depend on the thread
 count.
 """
@@ -169,7 +172,9 @@ class ReplicaCache:
         self.grid = grid
         self.noise = noise
         self.delays = grid_delays(grid, layout)          # (P, C)
-        self.bins = delay_bin(self.delays, waveforms.tau_c)
+        # int32: bins stay far below 2^31 (at most 587 on the shipped
+        # scenes), and the footprints of SSR and SIC are made from them
+        self.bins = delay_bin(self.delays, waveforms.tau_c).astype(np.int32)
         self.out_of_window = (self.delays + waveforms.tau_c > waveforms.T)
         inside = ~self.out_of_window
 

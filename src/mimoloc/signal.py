@@ -342,17 +342,38 @@ def _replica_window(waveforms: WaveformSet, k: int, tau: float):
     return span0 + lo, win[lo:hi]
 
 
-def path_echoes(scene: Scene, waveforms: WaveformSet, path: int):
-    """Each target's echo on one path as (start, samples): the nonzero span
-    of its delayed replica (_replica_window) times its reflection
-    coefficient (1 when the target has none)."""
+def echo_spans(waveforms: WaveformSet, layout: AntennaLayout,
+               position: Position2D) -> tuple:
+    """A target's unit-alpha echo on every path, in flat path order, as
+    read-only (start, samples): the nonzero span of its delayed replica
+    (_replica_window).  A run keeps them per configured target, since only
+    the reflection coefficients change between its trials."""
+    spans = []
+    for _, l, k in layout.paths():
+        start, win = _replica_window(waveforms, k,
+                                     path_delay(layout, position, l, k))
+        win.flags.writeable = False
+        spans.append((start, win))
+    return tuple(spans)
+
+
+def path_echoes(scene: Scene, waveforms: WaveformSet, path: int,
+                spans=None):
+    """Each target's echo on one path as (start, samples): its reflection
+    coefficient (1 when the target has none) times its unit-alpha span.
+    spans[g] holds target g's echo_spans when the caller keeps them;
+    otherwise each span is computed here (_replica_window), with the same
+    bytes."""
     l, k = divmod(path, scene.layout.n_tx)
-    for t in scene.targets:
+    for g, t in enumerate(scene.targets):
         alpha = 1.0 + 0j
         if t.per_path_alpha is not None:
             alpha = t.per_path_alpha[l, k]
-        start, win = _replica_window(
-            waveforms, k, path_delay(scene.layout, t.position, l, k))
+        if spans is None:
+            start, win = _replica_window(
+                waveforms, k, path_delay(scene.layout, t.position, l, k))
+        else:
+            start, win = spans[g][path]
         yield start, alpha * win
 
 
@@ -360,11 +381,21 @@ def synthesize_observation(scene: Scene, waveforms: WaveformSet,
                            noise: NoiseModel, path: int,
                            rng: np.random.Generator) -> PathObservation:
     """One path's raw echo: superposition of target replicas plus
-    circular complex Gaussian noise and clutter."""
+    circular complex Gaussian noise and clutter (NoiseModel.sample from
+    rng)."""
+    return raw_observation(scene, waveforms, path,
+                           noise.sample(waveforms.n_samples, path, rng))
+
+
+def raw_observation(scene: Scene, waveforms: WaveformSet, path: int,
+                    noise_draw: np.ndarray, spans=None) -> PathObservation:
+    """One path's raw window from a noise draw of the whole window: the
+    targets' echoes (path_echoes, spans as there) summed into zeros, then
+    the draw added."""
     r = np.zeros(waveforms.n_samples, dtype=complex)
-    for start, echo in path_echoes(scene, waveforms, path):
+    for start, echo in path_echoes(scene, waveforms, path, spans):
         r[start: start + len(echo)] += echo
-    r += noise.sample(waveforms.n_samples, path, rng)
+    r += noise_draw
     return PathObservation(path=path, r=r, whitened=False)
 
 
@@ -397,9 +428,8 @@ def reference_energies(waveforms: WaveformSet, layout: AntennaLayout,
     """Replica energy s^H R^-1 s of one location on every path, shape
     (M, N)."""
     out = np.empty((layout.n_rx, layout.n_tx))
-    for p, l, k in layout.paths():
-        start, win = _replica_window(
-            waveforms, k, path_delay(layout, position, l, k))
+    for (p, l, k), (start, win) in zip(
+            layout.paths(), echo_spans(waveforms, layout, position)):
         if noise.is_white:
             out[l, k] = np.vdot(win, win).real / noise.path_sigma_sq(p)
         else:

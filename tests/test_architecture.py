@@ -4,7 +4,10 @@ defines a name that reference.py defines, and the package root exports
 none of them.  One module builds the sparse tap operators: no module but
 _kernels.py references scipy.sparse.  Trials reach the field as segment
 matrices: no module but signal.py, reference.py and the package root
-names PathObservation.  The sources are parsed with ast, not imported.
+names PathObservation.  One function opens the noise streams: no
+function but estimators.trial_noise calls streams.substream, except
+harness.trial_observations for its phase streams.  The sources are
+parsed with ast, not imported.
 """
 import ast
 import os
@@ -133,3 +136,37 @@ def test_path_observation_stays_out_of_trials(name):
 
 def test_path_observation_named_in_signal():
     assert "PathObservation" in named(parse("signal.py"))
+
+
+def stream_calls(tree):
+    """(outermost enclosing function, tag argument) of every call to
+    streams.substream in a module, under any name it is imported as."""
+    names = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "streams"
+             for alias in node.names if alias.name == "substream"}
+    names.add("substream")
+    out = []
+
+    def visit(node, function):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and function is None):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = (callee.id if isinstance(callee, ast.Name) else
+                    callee.attr if isinstance(callee, ast.Attribute) else None)
+            if name in names:
+                tag = node.args[1] if len(node.args) > 1 else None
+                out.append((function, ast.unparse(tag) if tag else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(tree, None)
+    return out
+
+
+def test_only_trial_noise_opens_noise_streams():
+    calls = {name: stream_calls(parse(name)) for name in MODULES}
+    assert calls.pop("estimators.py") == [("trial_noise", "tag")]
+    assert calls.pop("harness.py") == [("trial_observations", "TAG_PHASE")]
+    assert not any(calls.values()), calls

@@ -13,13 +13,14 @@ from mimoloc.estimators import (DetectionReport, EstimatorConfig,
                                 h0_objective_peaks, joint_path_alphas,
                                 joint_path_values, joint_search,
                                 peak_quantile, sic_modified_term, sic_run,
-                                sic_threshold, ssr_run, trial_segments)
+                                sic_threshold, ssr_run, trial_noise,
+                                trial_segments)
 from mimoloc.geometry import Grid, Rect
 from mimoloc.harness import RunContext, load_scenario
 from mimoloc.likelihood import ObjectiveField, ReplicaCache, objective_field
 from mimoloc.reference import (alpha_mle_joint, gram_matrix,
                                joint_path_loglik, steering_vector)
-from mimoloc.signal import (NoiseModel, PathObservation,
+from mimoloc.signal import (NoiseModel, PathObservation, echo_spans,
                             scale_alphas_for_snr, synthesize_observation,
                             whiten)
 from mimoloc.streams import TAG_CALIBRATION, TAG_SCENE, substream
@@ -119,8 +120,10 @@ class TestCalibration:
         # give |z|^2 / 2 per in-window (path, cell), z ~ CN(0, 1)
         cache = two_antenna.cache
         empty = two_antenna.scene([])
-        values = [objective_field(trial_segments(cache, empty, 5, TAG_SCENE,
-                                                 t),
+        values = [objective_field(trial_segments(
+                                      cache, empty,
+                                      trial_noise(cache, 5, TAG_SCENE, t),
+                                      ()),
                                   cache).per_path_ll[~cache.out_of_window]
                   for t in range(40)]
         values = np.concatenate(values)
@@ -164,6 +167,12 @@ def trial_scene(setup, positions, snr_db=12.0):
                                 [1.0] * len(positions), rngs)
 
 
+def spans_of(cache, scene):
+    # the scene's targets' echo spans, as a run keeps them
+    return [echo_spans(cache.waveforms, scene.layout, t.position)
+            for t in scene.targets]
+
+
 def whitened_echo(setup, scene, noise, p):
     """Path p's noise-free echo over the whole window, whitened."""
     quiet = NoiseModel(sigma_sq=0.0)
@@ -194,8 +203,10 @@ class TestWhiteH0Segments:
         empty = setup.scene([])
         scene = trial_scene(setup, WHITE_SCENES[setup_name])
         for t in range(3):
-            noise = trial_segments(cache, empty, 5, TAG_CALIBRATION, t)
-            drawn = trial_segments(cache, scene, 5, TAG_CALIBRATION, t)
+            draw = trial_noise(cache, 5, TAG_CALIBRATION, t)
+            noise = trial_segments(cache, empty, draw, ())
+            drawn = trial_segments(cache, scene, draw,
+                                   spans_of(cache, scene))
             # H0: the segment samples in a whole window, zeros elsewhere
             obs = []
             for p, (row, window) in enumerate(cache.segment_slices):
@@ -235,9 +246,9 @@ class TestWhiteH0Segments:
         noise = NoiseModel(sigma_sq=0.5 + np.arange(n_paths))
         cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
         scene = trial_scene(setup, WHITE_SCENES[setup_name])
-        diff = (trial_segments(cache, scene, 9, TAG_CALIBRATION, 2)
-                - trial_segments(cache, setup.scene([]), 9,
-                                 TAG_CALIBRATION, 2))
+        draw = trial_noise(cache, 9, TAG_CALIBRATION, 2)
+        diff = (trial_segments(cache, scene, draw, spans_of(cache, scene))
+                - trial_segments(cache, setup.scene([]), draw, ()))
         for p, (row, window) in enumerate(cache.segment_slices):
             echo = whitened_echo(setup, scene, noise, p)[window]
             assert np.abs(echo).max() > 0
@@ -246,6 +257,35 @@ class TestWhiteH0Segments:
             assert err <= 1e-12 * np.abs(echo).max()
             assert not np.any(np.delete(segment,
                                         np.arange(cache.block_span[p])[row]))
+
+
+class TestTrialNoise:
+    """A trial's draw is its streams' noise, read-only, and every scene of
+    the trial reads it without changing it."""
+
+    @pytest.mark.parametrize("clutter", [None, (0.9, 1.0)],
+                             ids=["white", "clutter"])
+    def test_draw_is_the_streams_noise(self, small, clutter):
+        noise = NoiseModel(sigma_sq=0.8, clutter=clutter)
+        cache = ReplicaCache(small.waveforms, small.layout, small.grid, noise)
+        draw = trial_noise(cache, 9, TAG_CALIBRATION, 2)
+        assert len(draw) == small.layout.n_paths
+        for p, (row, window) in enumerate(cache.segment_slices):
+            rng = substream(9, TAG_CALIBRATION, 2, p)
+            if clutter is None:      # whitened: CN(0, 1) in the segment
+                n = window.stop - window.start
+                want = np.zeros(cache.block_span[p], dtype=complex)
+                want[row] = (rng.standard_normal(2 * n)
+                             * np.sqrt(0.5)).view(complex)
+            else:                    # raw: the whole window
+                want = noise.sample(small.waveforms.n_samples, p, rng)
+            assert draw[p].tobytes() == want.tobytes()
+            assert not draw[p].flags.writeable
+        # a signal scene reads the draw and leaves it intact
+        scene = trial_scene(small, WHITE_SCENES["small"])
+        before = [d.tobytes() for d in draw]
+        trial_segments(cache, scene, draw, spans_of(cache, scene))
+        assert [d.tobytes() for d in draw] == before
 
 
 class TestClutterSegments:
@@ -258,7 +298,9 @@ class TestClutterSegments:
         noise = NoiseModel(sigma_sq=0.8, clutter=(0.9, 1.0))
         cache = ReplicaCache(setup.waveforms, setup.layout, setup.grid, noise)
         scene = trial_scene(setup, WHITE_SCENES[setup_name])
-        segments = trial_segments(cache, scene, 9, TAG_CALIBRATION, 2)
+        segments = trial_segments(cache, scene,
+                                  trial_noise(cache, 9, TAG_CALIBRATION, 2),
+                                  spans_of(cache, scene))
         assert segments.shape == (cache.path_blocks[-1], cache.nfft)
         for p, (row, window) in enumerate(cache.segment_slices):
             whole = whiten(synthesize_observation(
@@ -979,7 +1021,9 @@ class TestGapOkTree:
 
         scene = coarse.scene([(5500.0, 1500.0), (1500.0, 2500.0)])
         for n_targets in (2, 3, 2, 3):
-            segments = trial_segments(cache, scene, 5, TAG_SCENE, 0)
+            segments = trial_segments(cache, scene,
+                                      trial_noise(cache, 5, TAG_SCENE, 0),
+                                      spans_of(cache, scene))
             reports = [joint_search(segments.copy(), cache, n_targets, 0.0)
                        for _ in range(2)]
             assert reports[0].to_text() == reports[1].to_text()
@@ -1005,7 +1049,10 @@ class TestGapOkTree:
         tree = gap_ok_tree(cache, 5)
         assert [len(cell) for _, cell in tree][-1] == 0
         scene = coarse.scene([(4500.0, 4500.0)])
-        report = joint_search(trial_segments(cache, scene, 1, TAG_SCENE, 0),
+        report = joint_search(trial_segments(
+                                  cache, scene,
+                                  trial_noise(cache, 1, TAG_SCENE, 0),
+                                  spans_of(cache, scene)),
                               cache, 5, 0.0)
         assert report.g_hat == 0
         assert report.accumulated_objective == 0.0

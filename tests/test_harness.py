@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mimoloc.errors import ConfigError
 from mimoloc.estimators import Detection, DetectionReport
 from mimoloc.geometry import Position2D
-from mimoloc.harness import (METRICS_HEADER, MetricsRecord, RunContext,
-                             associate, export_csv, h0_alarm_rate,
+from mimoloc.harness import (METRICS_HEADER, TRIAL_HEADER, MetricsRecord,
+                             RunContext, _append_trial_rows, _trial_rows,
+                             aggregate, associate, export_csv, h0_alarm_rate,
                              load_scenario, read_metrics_csv, run_sweep,
                              run_trial, valid_detection)
 from mimoloc import cli
@@ -368,7 +369,7 @@ class TestRunTrial:
         # the full scene (same phase stream, same reference) and the same
         # noise: on every path, full - solo - other is minus the trial's
         # noise-only segments, to rounding
-        from mimoloc.estimators import trial_segments
+        from mimoloc.estimators import trial_noise, trial_segments
         from mimoloc.geometry import Scene
         from mimoloc.harness import trial_observations
         from mimoloc.streams import TAG_NOISE
@@ -377,7 +378,9 @@ class TestRunTrial:
         solo, _ = trial_observations(ctx, 10.0, 5, target_indices=[1])
         other, _ = trial_observations(ctx, 10.0, 5, target_indices=[0])
         empty = Scene(layout=ctx.layout, targets=(), region=cfg.region)
-        noise = trial_segments(ctx.cache, empty, cfg.seed, TAG_NOISE, 5)
+        noise = trial_segments(ctx.cache, empty,
+                               trial_noise(ctx.cache, cfg.seed, TAG_NOISE, 5),
+                               ())
         residual = full - solo - other + noise
         assert np.abs(solo - noise).max() > 0.1
         assert np.abs(other - noise).max() > 0.1
@@ -393,8 +396,9 @@ class TestRunTrial:
         def refuse(*args, **kwargs):
             raise AssertionError("a white trial synthesized a window")
         for module in (signal, estimators):
-            monkeypatch.setattr(module, "synthesize_observation", refuse)
+            monkeypatch.setattr(module, "raw_observation", refuse)
             monkeypatch.setattr(module, "whiten", refuse)
+        monkeypatch.setattr(signal, "synthesize_observation", refuse)
         cfg, ctx, thr = mini_ctx
         if algorithm == "joint":
             # 144 cells: the pairs stay inside the tuple budget
@@ -594,6 +598,121 @@ class TestSweep:
         cfg, ctx, thr = mini_ctx
         rate = h0_alarm_rate(ctx, thr, 150)
         assert abs(rate - cfg.pfa) <= 0.09
+
+
+# two SNR points and the single-target re-runs: enough (SNR, job) pairs to
+# tell the trial-major row order from a job-major one
+SWEEP = {"snr_db": [4.0, 12.0], "single_target_benchmark": True}
+
+
+@pytest.fixture(scope="module", params=["white", "clutter"])
+def sweep_ctx(request, tmp_path_factory, mini_ctx):
+    # the white threshold serves both: the clutter GLRT has the same H0 law
+    _, _, thr = mini_ctx
+    noise, algorithm = {"white": (MINI["noise"], "ssr"),
+                        "clutter": (CLUTTER, "sic")}[request.param]
+    cfg = load_scenario(write_mini(tmp_path_factory.mktemp("sweep"),
+                                   noise=noise, algorithm=algorithm, **SWEEP))
+    assert cfg.single_target_benchmark and len(cfg.snr_db) == 2
+    return cfg, RunContext(cfg), thr
+
+
+def job_major(cfg, ctx, thr, trials, path):
+    """Every (job, snr, trial) run job-major, each run_trial drawing its own
+    noise, its rows written to path; returns the metrics records."""
+    jobs = [(cfg.algorithm, None)] + [(f"{cfg.algorithm}-single", [g])
+                                      for g in range(cfg.n_targets)]
+    rows = []
+    for name, indices in jobs:
+        for snr in cfg.snr_db:
+            for t in range(trials):
+                report, assignment, idx = run_trial(ctx, snr, t, thr,
+                                                    target_indices=indices)
+                rows += _trial_rows(cfg, name, snr, t, report, assignment,
+                                    idx)
+    _append_trial_rows(path, rows)
+    records = []
+    for name, indices in jobs:
+        targets = ([g + 1 for g in indices] if indices is not None
+                   else list(range(1, cfg.n_targets + 1)))
+        for snr in cfg.snr_db:
+            records += aggregate(rows, name, snr, targets, trials)
+    return records
+
+
+class TestTrialMajorSweep:
+    def test_one_draw_per_trial_index(self, sweep_ctx, tmp_path,
+                                      monkeypatch):
+        # each trial index is drawn once for all its (job, snr) runs, and a
+        # resumed sweep draws only the indices that still have work
+        from mimoloc import harness
+        cfg, ctx, thr = sweep_ctx
+        drawn, draw = [], harness.trial_noise
+
+        def counted(cache, seed, tag, trial):
+            drawn.append(trial)
+            return draw(cache, seed, tag, trial)
+        monkeypatch.setattr(harness, "trial_noise", counted)
+        out = str(tmp_path / "out")
+        run_sweep(cfg, out_dir=out, thresholds=thr, trials=2, ctx=ctx)
+        assert drawn == [0, 1]
+        run_sweep(cfg, out_dir=out, thresholds=thr, trials=3, ctx=ctx)
+        assert drawn == [0, 1, 2]
+        run_sweep(cfg, out_dir=out, thresholds=thr, trials=3, ctx=ctx)
+        assert drawn == [0, 1, 2]
+
+    def test_rows_are_lone_trials_in_trial_major_order(self, sweep_ctx,
+                                                       tmp_path):
+        # every row is what run_trial gives drawing its own noise, rows
+        # come (trial, job, snr) in order, and metrics.csv has the bytes of
+        # the job-major records
+        cfg, ctx, thr = sweep_ctx
+        records = job_major(cfg, ctx, thr, 2, tmp_path / "lone.csv")
+        export_csv(records, tmp_path / "lone_metrics.csv")
+        out = tmp_path / "sweep"
+        run_sweep(cfg, out_dir=str(out), thresholds=thr, trials=2, ctx=ctx)
+        assert ((out / "metrics.csv").read_bytes()
+                == (tmp_path / "lone_metrics.csv").read_bytes())
+        lone = (tmp_path / "lone.csv").read_text().splitlines()
+        got = (out / "trial_records.csv").read_text().splitlines()
+        assert got[0] == lone[0] == TRIAL_HEADER
+        assert got[1:] == sorted(lone[1:], key=lambda r: int(r.split(",")[2]))
+        # job 0 is the full scene, job g the re-run of target g alone
+        keys = [(int(t), int(g) if a.endswith("-single") else 0,
+                 cfg.snr_db.index(float(snr)))
+                for a, snr, t, g, *_ in (r.split(",") for r in got[1:])]
+        assert keys == sorted(keys)
+        assert len({k[1:] for k in keys}) == 6 and keys[-1][0] == 1
+
+    def test_resume_to_more_trials_is_a_fresh_sweep(self, sweep_ctx,
+                                                     tmp_path):
+        cfg, ctx, thr = sweep_ctx
+        fresh, out = tmp_path / "fresh", tmp_path / "resumed"
+        run_sweep(cfg, out_dir=str(out), thresholds=thr, trials=2, ctx=ctx)
+        run_sweep(cfg, out_dir=str(out), thresholds=thr, trials=3, ctx=ctx)
+        run_sweep(cfg, out_dir=str(fresh), thresholds=thr, trials=3, ctx=ctx)
+        for name in ("trial_records.csv", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_resume_after_one_single_target_job(self, sweep_ctx, tmp_path):
+        # cut right after the last trial's rows of target 1 alone: the
+        # other single-target job of that trial shares its name and SNR
+        # points but has not run, so the resumed sweep runs it and both
+        # files end byte-equal to an uninterrupted sweep
+        cfg, ctx, thr = sweep_ctx
+        fresh, out = tmp_path / "fresh", tmp_path / "resumed"
+        run_sweep(cfg, out_dir=str(fresh), thresholds=thr, trials=2, ctx=ctx)
+        lines = (fresh / "trial_records.csv").read_bytes().splitlines(True)
+        single = f"{cfg.algorithm}-single".encode()
+        cut = 1 + max(i for i, line in enumerate(lines)
+                      if line.split(b",")[:4:2] == [single, b"1"]
+                      and line.split(b",")[3] == b"1")
+        assert len(lines) - cut == len(cfg.snr_db)
+        out.mkdir()
+        (out / "trial_records.csv").write_bytes(b"".join(lines[:cut]))
+        run_sweep(cfg, out_dir=str(out), thresholds=thr, trials=2, ctx=ctx)
+        for name in ("trial_records.csv", "metrics.csv"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 class TestExportCsv:

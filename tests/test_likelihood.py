@@ -256,6 +256,21 @@ class TestObjectiveField:
             assert np.array_equal(fast, per_path)
             assert np.array_equal(fast.any(axis=0), union)
 
+    def test_int32_bins_give_the_int64_footprints(self, small):
+        # the cache keeps its range bins as int32; every footprint equals
+        # the one made from the int64 bins of geometry.delay_bin
+        from mimoloc.geometry import delay_bin
+        cache = small.cache
+        wide = delay_bin(cache.delays, small.waveforms.tau_c)
+        assert cache.bins.dtype == np.int32 and wide.dtype == np.int64
+        assert np.array_equal(cache.bins, wide)
+        obs = [wobs(p, np.zeros(small.waveforms.n_samples))
+               for p in range(small.layout.n_paths)]
+        fld = objective_field(pack(obs, cache), cache)
+        for cell in (0, 1234, small.grid.n_cells - 1):
+            assert np.array_equal(fld.footprint_of_cell(cell),
+                                  np.abs(wide - wide[:, cell][:, None]) <= 1)
+
     def test_cancellation_bookkeeping(self, small):
         scene = small.scene([(2750.0, 3250.0), (4250.0, 1250.0)])
         obs = noisy_observations(small, scene, np.random.default_rng(9))
